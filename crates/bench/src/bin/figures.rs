@@ -1834,8 +1834,7 @@ fn slo(opts: &Options) {
     use ccindex_obs::{format_ns, Registry, Span};
     use ccindex_serve::{BatchServer, Request, ServeOptions, ServeStats, ShardServer};
     use ccindex_shard::RemoteShard;
-    use ccindex_wire::Spec;
-    use mmdb::{eq, Database, IndexKind, TableBuilder};
+    use mmdb::{eq, Database, IndexKind, QuerySpec, TableBuilder};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -1975,20 +1974,12 @@ fn slo(opts: &Options) {
     let server = ShardServer::spawn(server_db).expect("loopback bind");
     let shard = RemoteShard::connect(server.addr());
     let shard = shard.expect("handshake");
-    let spec = Spec {
-        table: "orders".into(),
-        filters: vec![eq("amount", 42)],
-        ..Spec::default()
-    };
+    let spec = QuerySpec::table("orders").filter(eq("amount", 42));
     let mut span = Span::root("client");
     let rows = shard
         .run_spec_traced(&spec, &mut span)
         .expect("remote query");
-    let matched = match &rows {
-        mmdb::ResultRows::Rids(r) => r.len(),
-        mmdb::ResultRows::Joined(r) => r.len(),
-        mmdb::ResultRows::Groups(r) => r.len(),
-    };
+    let matched = rows.len();
     let tree = span.finish();
     println!("  cross-process latency tree ({matched} matching row(s)):");
     for line in tree.render().lines() {

@@ -24,6 +24,20 @@ pub enum AggFn {
     Max,
 }
 
+impl AggFn {
+    /// Fold one value `v` into a group's running aggregate `acc` — the
+    /// one fold every grouping path (sequential, per-worker partials,
+    /// cross-shard merges) applies. `Count` partials merge by addition
+    /// like `Sum`.
+    pub fn combine(self, acc: i64, v: i64) -> i64 {
+        match self {
+            AggFn::Count | AggFn::Sum => acc + v,
+            AggFn::Min => acc.min(v),
+            AggFn::Max => acc.max(v),
+        }
+    }
+}
+
 /// One output group.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupRow {
@@ -144,21 +158,11 @@ fn merge_partials(
         for (id, v) in partial {
             merged
                 .entry(id)
-                .and_modify(|a| *a = combine(agg, *a, v))
+                .and_modify(|a| *a = agg.combine(*a, v))
                 .or_insert(v);
         }
     }
     merged
-}
-
-/// Fold one combined value into the accumulator (`Count` partials merge
-/// by addition like `Sum`).
-fn combine(agg: AggFn, a: i64, v: i64) -> i64 {
-    match agg {
-        AggFn::Count | AggFn::Sum => a + v,
-        AggFn::Min => a.min(v),
-        AggFn::Max => a.max(v),
-    }
 }
 
 /// The shared accumulation loop of the sequential and per-worker passes.
@@ -179,7 +183,7 @@ fn accumulate_pairs(
                     other => panic!("non-integer measure value {other}"),
                 };
                 acc.entry(id)
-                    .and_modify(|a| *a = combine(agg, *a, v))
+                    .and_modify(|a| *a = agg.combine(*a, v))
                     .or_insert(v);
             }
         }
@@ -231,13 +235,7 @@ pub fn group_aggregate(
                         Value::Int(v) => *v,
                         other => panic!("non-integer measure value {other}"),
                     };
-                    acc = Some(match (acc, agg) {
-                        (None, _) => v,
-                        (Some(a), AggFn::Sum) => a + v,
-                        (Some(a), AggFn::Min) => a.min(v),
-                        (Some(a), AggFn::Max) => a.max(v),
-                        (Some(_), AggFn::Count) => unreachable!(),
-                    });
+                    acc = Some(acc.map_or(v, |a| agg.combine(a, v)));
                 }
                 acc.expect("non-empty group")
             }

@@ -1,13 +1,15 @@
-//! Composable queries over the [`Database`] engine: a declarative
-//! [`Query`] builder, the small physical [`Plan`] it compiles into, and
-//! the executor that drives the batched physical operators.
+//! Composable queries over the [`Database`] engine: one owned query
+//! value ([`QuerySpec`], built through [`Database::query`] or on its
+//! own), the small physical [`Plan`] it compiles into
+//! ([`CatalogState::plan`]), and the executor that drives the batched
+//! physical operators.
 //!
 //! The shape mirrors the paper's three index consumers (§2.2):
 //! selections ([`eq`] / [`between`] filters, conjunctions combined by
 //! sorted RID-set intersection), indexed nested-loop joins
-//! ([`Query::join`]), and domain encoding (every probe starts with a
-//! batched `encode_batch`). Grouped aggregation ([`Query::group_by`])
-//! rides on top, as OLAP queries do.
+//! ([`QuerySpec::join`]), and domain encoding (every probe starts with a
+//! batched `encode_batch`). Grouped aggregation
+//! ([`QuerySpec::group_by`]) rides on top, as OLAP queries do.
 //!
 //! ```
 //! use mmdb::{between, eq, on, sum, Database, IndexKind, TableBuilder};
@@ -221,7 +223,7 @@ fn resolve_threads(threads: usize, items: usize) -> usize {
 pub fn eq(column: &str, value: impl Into<Value>) -> Predicate {
     Predicate {
         column: column.to_owned(),
-        op: PredOp::Eq(value.into()),
+        probe: Probe::Point(value.into()),
     }
 }
 
@@ -229,7 +231,7 @@ pub fn eq(column: &str, value: impl Into<Value>) -> Predicate {
 pub fn between(column: &str, lo: impl Into<Value>, hi: impl Into<Value>) -> Predicate {
     Predicate {
         column: column.to_owned(),
-        op: PredOp::Between(lo.into(), hi.into()),
+        probe: Probe::Range(lo.into(), hi.into()),
     }
 }
 
@@ -264,40 +266,11 @@ pub fn max(column: &str) -> Agg {
 /// One conjunct of a query's WHERE clause (built by [`eq`]/[`between`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
-    column: String,
-    op: PredOp,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum PredOp {
-    Eq(Value),
-    Between(Value, Value),
-}
-
-/// A borrowed view of a predicate's shape, for layers that need to
-/// inspect or re-encode one (shard routing, the wire format) without
-/// reaching into the private representation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PredicateOp<'a> {
-    /// `column = value`.
-    Eq(&'a Value),
-    /// `lo <= column <= hi`, inclusive.
-    Between(&'a Value, &'a Value),
-}
-
-impl Predicate {
     /// The column this conjunct constrains.
-    pub fn column(&self) -> &str {
-        &self.column
-    }
-
-    /// The comparison this conjunct applies, as a borrowed view.
-    pub fn op(&self) -> PredicateOp<'_> {
-        match &self.op {
-            PredOp::Eq(v) => PredicateOp::Eq(v),
-            PredOp::Between(lo, hi) => PredicateOp::Between(lo, hi),
-        }
-    }
+    pub column: String,
+    /// The comparison it applies — the same [`Probe`] the compiled
+    /// [`ProbeStep`] asks the index.
+    pub probe: Probe,
 }
 
 /// An equi-join condition (built by [`on`]).
@@ -347,34 +320,37 @@ impl Agg {
 }
 
 // ---------------------------------------------------------------------
-// The builder
+// The query value
 // ---------------------------------------------------------------------
 
-/// A composable query over one table (and optionally one joined inner
-/// table), started by [`Database::query`]. Nothing resolves until
-/// [`Query::plan`] or [`Query::run`], so builders can be assembled
-/// freely and fail with a typed error naming the offender.
-#[derive(Debug, Clone)]
-pub struct Query<'db> {
-    cat: &'db CatalogState,
-    table: String,
-    filters: Vec<Predicate>,
-    join: Option<(String, JoinOn)>,
-    group: Option<(String, Agg)>,
-    forced_kind: Option<IndexKind>,
-    exec: Option<ExecOptions>,
+/// One query over one table (and optionally one joined inner table), as
+/// an owned value: what [`Database::query`] builds, what a serving
+/// front-end queues across threads, and what the shard wire protocol
+/// encodes. Nothing resolves until [`CatalogState::plan`] compiles it,
+/// so specs can be assembled freely and fail there with a typed error
+/// naming the offender.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct QuerySpec {
+    /// The driving (outer) table.
+    pub table: String,
+    /// WHERE conjuncts, in call order; they AND together.
+    pub filters: Vec<Predicate>,
+    /// Optional join: inner table and the equi-join condition.
+    pub join: Option<(String, JoinOn)>,
+    /// Optional grouped aggregation: group column and aggregate.
+    pub group: Option<(String, Agg)>,
+    /// Optional forced index kind ([`QuerySpec::using`]).
+    pub forced_kind: Option<IndexKind>,
+    /// Optional execution-option override ([`QuerySpec::exec`]).
+    pub exec: Option<ExecOptions>,
 }
 
-impl<'db> Query<'db> {
-    pub(crate) fn new(cat: &'db CatalogState, table: String) -> Self {
+impl QuerySpec {
+    /// A query over `table`, initially selecting every row.
+    pub fn table(table: impl Into<String>) -> Self {
         Self {
-            cat,
-            table,
-            filters: Vec::new(),
-            join: None,
-            group: None,
-            forced_kind: None,
-            exec: None,
+            table: table.into(),
+            ..Self::default()
         }
     }
 
@@ -415,31 +391,156 @@ impl<'db> Query<'db> {
         self.exec = Some(options);
         self
     }
+}
 
-    /// Compile into a physical [`Plan`]: resolve every name, choose an
-    /// access path per probe, and validate aggregate typing.
+/// One client request to a serving front-end, answered with
+/// [`ResultRows`].
+///
+/// Point and range probes are the coalescible shapes: requests for the
+/// same `table.column` that travel together can merge into a *single*
+/// batched index descent ([`CatalogState::point_probe_batch`] /
+/// [`CatalogState::range_probe_batch`]). A full [`QuerySpec`] runs as
+/// its own plan.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Request {
+    /// Equality probe: all RIDs where `table.column == value`.
+    Point {
+        /// Probed table.
+        table: String,
+        /// Probed (indexed) column.
+        column: String,
+        /// The probe constant.
+        value: Value,
+    },
+    /// Inclusive range probe: all RIDs where `lo <= table.column <= hi`
+    /// (requires an ordered index; an inverted range matches nothing).
+    Range {
+        /// Probed table.
+        table: String,
+        /// Probed (ordered-indexed) column.
+        column: String,
+        /// Inclusive lower bound.
+        lo: Value,
+        /// Inclusive upper bound.
+        hi: Value,
+    },
+    /// A full query (selection/join/group-by).
+    Query(QuerySpec),
+}
+
+impl Request {
+    /// Equality probe on `table.column`.
+    pub fn point(table: &str, column: &str, value: impl Into<Value>) -> Self {
+        Request::Point {
+            table: table.to_owned(),
+            column: column.to_owned(),
+            value: value.into(),
+        }
+    }
+
+    /// Inclusive range probe on `table.column`.
+    pub fn range(table: &str, column: &str, lo: impl Into<Value>, hi: impl Into<Value>) -> Self {
+        Request::Range {
+            table: table.to_owned(),
+            column: column.to_owned(),
+            lo: lo.into(),
+            hi: hi.into(),
+        }
+    }
+
+    /// A full composed query.
+    pub fn query(spec: QuerySpec) -> Self {
+        Request::Query(spec)
+    }
+}
+
+impl From<QuerySpec> for Request {
+    fn from(spec: QuerySpec) -> Self {
+        Request::Query(spec)
+    }
+}
+
+/// A [`QuerySpec`] bound to the catalog generation it will run against,
+/// started by [`Database::query`]. The builder methods are the
+/// [`QuerySpec`] ones.
+#[derive(Debug, Clone)]
+pub struct Query<'db> {
+    cat: &'db CatalogState,
+    spec: QuerySpec,
+}
+
+impl<'db> Query<'db> {
+    pub(crate) fn new(cat: &'db CatalogState, table: String) -> Self {
+        Self {
+            cat,
+            spec: QuerySpec::table(table),
+        }
+    }
+
+    /// [`QuerySpec::filter`].
+    pub fn filter(mut self, predicate: Predicate) -> Self {
+        self.spec = self.spec.filter(predicate);
+        self
+    }
+
+    /// [`QuerySpec::join`].
+    pub fn join(mut self, inner_table: &str, condition: JoinOn) -> Self {
+        self.spec = self.spec.join(inner_table, condition);
+        self
+    }
+
+    /// [`QuerySpec::group_by`].
+    pub fn group_by(mut self, column: &str, agg: Agg) -> Self {
+        self.spec = self.spec.group_by(column, agg);
+        self
+    }
+
+    /// [`QuerySpec::using`].
+    pub fn using(mut self, kind: IndexKind) -> Self {
+        self.spec = self.spec.using(kind);
+        self
+    }
+
+    /// [`QuerySpec::exec`].
+    pub fn exec(mut self, options: ExecOptions) -> Self {
+        self.spec = self.spec.exec(options);
+        self
+    }
+
+    /// Compile into a physical [`Plan`] ([`CatalogState::plan`]).
     pub fn plan(&self) -> Result<Plan> {
-        let cat = self.cat;
-        let outer = &self.table;
-        cat.entry(outer)?;
-        let exec = self.exec.unwrap_or_else(|| cat.exec_options());
+        self.cat.plan(&self.spec)
+    }
+
+    /// Compile and execute.
+    pub fn run(&self) -> Result<ResultSet<'db>> {
+        self.plan()?.execute_on(self.cat)
+    }
+}
+
+impl CatalogState {
+    /// Compile `spec` into a physical [`Plan`]: resolve every name,
+    /// choose an access path per probe, and validate aggregate typing.
+    /// Every query path (builders, serving, shard servers) compiles
+    /// through here.
+    pub fn plan(&self, spec: &QuerySpec) -> Result<Plan> {
+        let outer = &spec.table;
+        self.entry(outer)?;
+        let exec = spec.exec.unwrap_or_else(|| self.exec_options());
         // The planner's upper bound on the items a chunkable node can
         // process (the driving table's row count): what an adaptive
         // (`threads == 0`) node's worker count resolves against when the
         // plan is *explained* rather than executed.
-        let outer_rows = cat.table(outer)?.rows();
+        let outer_rows = self.table(outer)?.rows();
 
-        let mut probes = Vec::with_capacity(self.filters.len());
-        for p in &self.filters {
-            let ordered_required = matches!(p.op, PredOp::Between(..));
-            let kind = resolve_kind(cat, outer, &p.column, ordered_required, self.forced_kind)?;
+        let mut probes = Vec::with_capacity(spec.filters.len());
+        for p in &spec.filters {
+            let ordered_required = matches!(p.probe, Probe::Range(..));
+            let kind = resolve_kind(self, outer, &p.column, ordered_required, spec.forced_kind)?;
             probes.push(ProbeStep {
                 column: p.column.clone(),
                 kind,
-                probe: match &p.op {
-                    PredOp::Eq(v) => Probe::Point(v.clone()),
-                    PredOp::Between(lo, hi) => Probe::Range(lo.clone(), hi.clone()),
-                },
+                probe: p.probe.clone(),
                 // A filter stage probes one constant, which cannot be
                 // chunked — recording `exec.threads` here would claim a
                 // partitioning that can never happen.
@@ -447,12 +548,12 @@ impl<'db> Query<'db> {
             });
         }
 
-        let join = match &self.join {
+        let join = match &spec.join {
             None => None,
             Some((inner_table, cond)) => {
-                cat.column(outer, &cond.outer)?;
-                cat.column(inner_table, &cond.inner)?;
-                let kind = resolve_kind(cat, inner_table, &cond.inner, false, self.forced_kind)?;
+                self.column(outer, &cond.outer)?;
+                self.column(inner_table, &cond.inner)?;
+                let kind = resolve_kind(self, inner_table, &cond.inner, false, spec.forced_kind)?;
                 Some(JoinStep {
                     inner_table: inner_table.clone(),
                     outer_column: cond.outer.clone(),
@@ -464,16 +565,16 @@ impl<'db> Query<'db> {
             }
         };
 
-        let group = match &self.group {
+        let group = match &spec.group {
             None => None,
             Some((column, agg)) => {
                 let inner = join.as_ref().map(|j| j.inner_table.as_str());
-                let (side, _) = resolve_side(cat, outer, inner, column)?;
+                let (side, _) = resolve_side(self, outer, inner, column)?;
                 let (agg_fn, measure) = agg.fn_and_measure();
                 let measure = match measure {
                     None => None,
                     Some(m) => {
-                        let (m_side, m_col) = resolve_side(cat, outer, inner, m)?;
+                        let (m_side, m_col) = resolve_side(self, outer, inner, m)?;
                         let all_int = m_col
                             .domain()
                             .values()
@@ -514,11 +615,6 @@ impl<'db> Query<'db> {
             group,
             exec,
         })
-    }
-
-    /// Compile and execute.
-    pub fn run(&self) -> Result<ResultSet<'db>> {
-        self.plan()?.execute_on(self.cat)
     }
 }
 
@@ -636,7 +732,8 @@ pub struct ProbeStep {
     pub threads: usize,
 }
 
-/// What a [`ProbeStep`] asks its index.
+/// What a [`Predicate`] (and the [`ProbeStep`] it compiles to) asks its
+/// index.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Probe {
     /// Equality probe.
@@ -1233,34 +1330,10 @@ pub enum ResultRows {
     Groups(Vec<GroupRow>),
 }
 
-/// A query result bound to the catalog generation it ran against, so
-/// row values can be decoded on demand (one batched
-/// [`decode_batch`](crate::domain::Domain::decode_batch) per column) —
-/// even if the live catalog has committed newer generations since.
-#[derive(Debug, Clone)]
-pub struct ResultSet<'db> {
-    cat: &'db CatalogState,
-    outer_table: String,
-    inner_table: Option<String>,
-    rows: ResultRows,
-    timings: PlanTimings,
-}
-
-impl ResultSet<'_> {
-    /// The rows, whatever their shape.
-    pub fn rows(&self) -> &ResultRows {
-        &self.rows
-    }
-
-    /// Wall-clock time per executed plan node — feed back into
-    /// [`Plan::explain_timed`] to see where the query spent its time.
-    pub fn timings(&self) -> &PlanTimings {
-        &self.timings
-    }
-
+impl ResultRows {
     /// Number of result rows (of whichever shape).
     pub fn len(&self) -> usize {
-        match &self.rows {
+        match self {
             ResultRows::Rids(r) => r.len(),
             ResultRows::Joined(r) => r.len(),
             ResultRows::Groups(r) => r.len(),
@@ -1275,27 +1348,73 @@ impl ResultSet<'_> {
     /// Selected RIDs, ascending. Panics if this result is join- or
     /// group-shaped (shape is statically determined by the builder).
     pub fn rids(&self) -> &[u32] {
-        match &self.rows {
+        match self {
             ResultRows::Rids(r) => r,
-            other => panic!("rids() on a {} result", shape_name(other)),
+            other => panic!("rids() on a {} result", other.shape_name()),
         }
     }
 
-    /// Join output pairs. Panics unless this result came from a join
-    /// without grouping.
+    /// Join output pairs, in outer-stream order. Panics unless this
+    /// result came from a join without grouping.
     pub fn join_rows(&self) -> &[JoinRow] {
-        match &self.rows {
+        match self {
             ResultRows::Joined(r) => r,
-            other => panic!("join_rows() on a {} result", shape_name(other)),
+            other => panic!("join_rows() on a {} result", other.shape_name()),
         }
     }
 
-    /// Aggregated groups. Panics unless the query had a `group_by`.
+    /// Aggregated groups, in group-value order. Panics unless the query
+    /// had a `group_by`.
     pub fn groups(&self) -> &[GroupRow] {
-        match &self.rows {
+        match self {
             ResultRows::Groups(r) => r,
-            other => panic!("groups() on a {} result", shape_name(other)),
+            other => panic!("groups() on a {} result", other.shape_name()),
         }
+    }
+
+    /// The shape's name, as the accessors' panic messages spell it.
+    fn shape_name(&self) -> &'static str {
+        match self {
+            ResultRows::Rids(_) => "selection",
+            ResultRows::Joined(_) => "join",
+            ResultRows::Groups(_) => "grouped",
+        }
+    }
+}
+
+/// A query result bound to the catalog generation it ran against, so
+/// row values can be decoded on demand (one batched
+/// [`decode_batch`](crate::domain::Domain::decode_batch) per column) —
+/// even if the live catalog has committed newer generations since.
+/// Derefs to its [`ResultRows`], so `len`/`rids`/`join_rows`/`groups`
+/// read straight through.
+#[derive(Debug, Clone)]
+pub struct ResultSet<'db> {
+    cat: &'db CatalogState,
+    outer_table: String,
+    inner_table: Option<String>,
+    rows: ResultRows,
+    timings: PlanTimings,
+}
+
+impl std::ops::Deref for ResultSet<'_> {
+    type Target = ResultRows;
+
+    fn deref(&self) -> &ResultRows {
+        &self.rows
+    }
+}
+
+impl ResultSet<'_> {
+    /// The rows, whatever their shape.
+    pub fn rows(&self) -> &ResultRows {
+        &self.rows
+    }
+
+    /// Wall-clock time per executed plan node — feed back into
+    /// [`Plan::explain_timed`] to see where the query spent its time.
+    pub fn timings(&self) -> &PlanTimings {
+        &self.timings
     }
 
     /// Decoded values of `column` for every result row, via one batched
@@ -1333,14 +1452,6 @@ impl ResultSet<'_> {
                     .into(),
             }),
         }
-    }
-}
-
-fn shape_name(rows: &ResultRows) -> &'static str {
-    match rows {
-        ResultRows::Rids(_) => "selection",
-        ResultRows::Joined(_) => "join",
-        ResultRows::Groups(_) => "grouped",
     }
 }
 

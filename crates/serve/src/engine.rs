@@ -1,10 +1,9 @@
 //! The engine surface a [`BatchServer`](crate::BatchServer) fronts:
-//! anything that can answer coalesced probe batches and replay an owned
-//! [`QuerySpec`] — implemented for the unsharded
-//! [`Database`](mmdb::Database), the scatter-gather
-//! [`ShardedDatabase`](ccindex_shard::ShardedDatabase), and their pinned
-//! [`Snapshot`]/[`ShardedSnapshot`] generations, so one serving
-//! front-end covers both catalogs, live or pinned.
+//! anything that can answer coalesced probe batches and run an owned
+//! [`QuerySpec`] — implemented for the pinned generations of both
+//! catalogs, the unsharded [`Snapshot`](mmdb::Snapshot) and the
+//! scatter-gather [`ShardedSnapshot`], so one serving front-end covers
+//! both.
 //!
 //! [`ServeSource`] is how the server gets those snapshots: a source
 //! hands out one pinned generation per batch-formation window
@@ -12,9 +11,10 @@
 //! ([`ServeSource::observe`]) that
 //! [`ServeStats`](crate::ServeStats) surfaces.
 
-use crate::request::QuerySpec;
 use ccindex_shard::{ShardedDatabase, ShardedHandle, ShardedSnapshot, ShardedState};
-use mmdb::{CatalogState, Database, DatabaseHandle, ExecOptions, Result, ResultRows, Value};
+use mmdb::{
+    CatalogState, Database, DatabaseHandle, ExecOptions, QuerySpec, Result, ResultRows, Value,
+};
 
 /// A query engine the batch-forming server can front. `Sync` because the
 /// server's clients run on their own threads while the serving thread
@@ -43,62 +43,8 @@ pub trait ServeEngine: Sync {
         ranges: &[(Value, Value)],
     ) -> Result<Vec<Vec<u32>>>;
 
-    /// Replay an owned query spec through the engine's builder.
+    /// Compile and execute an owned query spec.
     fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows>;
-}
-
-/// Replay a [`QuerySpec`] through either engine's builder — `Query` and
-/// `ShardedQuery` expose the same consuming surface but share no trait,
-/// so one macro keeps the two `run_spec` impls from drifting apart (a
-/// clause added to `QuerySpec` is threaded through both, or neither).
-macro_rules! replay_spec {
-    ($query:expr, $spec:expr) => {{
-        let mut q = $query;
-        for f in &$spec.filters {
-            q = q.filter(f.clone());
-        }
-        if let Some((inner, cond)) = &$spec.join {
-            q = q.join(inner, cond.clone());
-        }
-        if let Some((column, agg)) = &$spec.group {
-            q = q.group_by(column, agg.clone());
-        }
-        if let Some(kind) = $spec.forced_kind {
-            q = q.using(kind);
-        }
-        if let Some(exec) = $spec.exec {
-            q = q.exec(exec);
-        }
-        Ok(q.run()?.rows().clone())
-    }};
-}
-
-impl ServeEngine for Database {
-    fn exec_options(&self) -> ExecOptions {
-        Database::exec_options(self)
-    }
-
-    fn point_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        values: &[Value],
-    ) -> Result<Vec<Vec<u32>>> {
-        Database::point_probe_batch(self, table, column, values)
-    }
-
-    fn range_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        ranges: &[(Value, Value)],
-    ) -> Result<Vec<Vec<u32>>> {
-        Database::range_probe_batch(self, table, column, ranges)
-    }
-
-    fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
-        replay_spec!(self.query(spec.table.clone()), spec)
-    }
 }
 
 // The snapshot impls below call through the state type explicitly
@@ -131,7 +77,10 @@ impl ServeEngine for mmdb::Snapshot {
     }
 
     fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
-        replay_spec!(CatalogState::query(self, spec.table.clone()), spec)
+        Ok(CatalogState::plan(self, spec)?
+            .execute_on(self)?
+            .rows()
+            .clone())
     }
 }
 
@@ -159,35 +108,10 @@ impl ServeEngine for ShardedSnapshot {
     }
 
     fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
-        replay_spec!(ShardedState::query(self, spec.table.clone()), spec)
-    }
-}
-
-impl ServeEngine for ShardedDatabase {
-    fn exec_options(&self) -> ExecOptions {
-        ShardedDatabase::exec_options(self)
-    }
-
-    fn point_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        values: &[Value],
-    ) -> Result<Vec<Vec<u32>>> {
-        ShardedDatabase::point_probe_batch(self, table, column, values)
-    }
-
-    fn range_probe_batch(
-        &self,
-        table: &str,
-        column: &str,
-        ranges: &[(Value, Value)],
-    ) -> Result<Vec<Vec<u32>>> {
-        ShardedDatabase::range_probe_batch(self, table, column, ranges)
-    }
-
-    fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
-        replay_spec!(self.query(spec.table.clone()), spec)
+        Ok(ShardedState::plan(self, spec)?
+            .execute_on(self)?
+            .rows()
+            .clone())
     }
 }
 

@@ -11,13 +11,14 @@
 //!
 //! The pieces:
 //!
-//! * [`Request`]/[`QuerySpec`] — owned request values (point probe,
-//!   range probe, or a full query-builder plan) that cross threads
-//!   without borrowing a catalog;
+//! * [`Request`]/[`QuerySpec`] — the engine's owned request values
+//!   (point probe, range probe, or a full query), re-exported from
+//!   `mmdb`; they cross threads without borrowing a catalog;
 //! * [`ServeEngine`] — the front-able engine surface, implemented for
-//!   [`Database`](mmdb::Database) and
+//!   the pinned generations of [`Database`](mmdb::Database) and
 //!   [`ShardedDatabase`](ccindex_shard::ShardedDatabase) (sharded
-//!   requests scatter through the existing routing);
+//!   requests scatter through the existing routing), which a
+//!   [`ServeSource`] hands out one per window;
 //! * [`BatchServer`] — accumulates submissions in a **batch-formation
 //!   window** (size-bound + time-bound, [`ServeOptions`] with
 //!   `CCINDEX_BATCH_MAX`/`CCINDEX_BATCH_WAIT_US` env defaults),
@@ -68,12 +69,11 @@
 
 mod engine;
 mod net;
-mod request;
 mod server;
 
 pub use engine::{ServeEngine, ServeSource, SnapshotInfo};
+pub use mmdb::{QuerySpec, Request};
 pub use net::ShardServer;
-pub use request::{QuerySpec, Request};
 pub use server::{BatchServer, Client, Pending, ServeOptions, ServeStats};
 
 #[cfg(test)]

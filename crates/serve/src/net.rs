@@ -25,15 +25,15 @@
 //! [`MmdbError`](mmdb::MmdbError) the operation would have raised
 //! in-process, carried in [`ShardResponse::Err`].
 
-use crate::request::{QuerySpec, Request};
+use crate::engine::ServeEngine;
 use crate::server::{BatchServer, ServeOptions};
 use ccindex_obs as obs;
 use ccindex_parallel::sync::Arc as MetricArc;
 use ccindex_shard::{
-    catalog_column_values, catalog_columns, catalog_compile, catalog_group_partial,
-    catalog_join_probe_batch, catalog_select,
+    catalog_column_values, catalog_columns, catalog_group_partial, catalog_join_probe_batch,
+    catalog_select,
 };
-use ccindex_wire::{self as wire, OneRequest, ShardRequest, ShardResponse, Spec};
+use ccindex_wire::{self as wire, ShardRequest, ShardResponse};
 use mmdb::plan::{Plan, ProbeStep};
 use mmdb::{Database, DatabaseHandle, MmdbError, Result, TableBuilder};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -503,22 +503,14 @@ fn respond(shared: &Arc<Shared>, request: ShardRequest) -> ShardResponse {
             shared.handle.snapshot().table(&table).map(|t| t.rows()),
             |rows| A::Count(rows as u64),
         ),
-        ShardRequest::Compile { spec } => {
-            reply(catalog_compile(&shared.handle.snapshot(), &spec), A::Plan)
-        }
-        ShardRequest::RunSpec { spec } => {
-            let snapshot = shared.handle.snapshot();
-            reply(
-                catalog_compile(&snapshot, &spec)
-                    .and_then(|plan| Ok(plan.execute_on(&snapshot)?.rows().clone())),
-                A::Rows,
-            )
-        }
+        ShardRequest::Compile { spec } => reply(shared.handle.snapshot().plan(&spec), A::Plan),
+        ShardRequest::RunSpec { spec } => reply(shared.handle.snapshot().run_spec(&spec), A::Rows),
         ShardRequest::ExecuteBatch { requests } => {
-            let requests: Vec<Request> = requests.into_iter().map(owned_request).collect();
+            // `run_batch` executes one window as given and never reads
+            // the window bounds, so no options come from the environment.
             let server = BatchServer::with_metrics(
                 &shared.handle,
-                ServeOptions::from_env(),
+                ServeOptions::default(),
                 MetricArc::clone(&shared.registry),
             );
             A::Batch(server.run_batch(&requests))
@@ -735,43 +727,5 @@ fn rebuilt(report: &mmdb::RebuildReport) -> ShardResponse {
             .iter()
             .map(|(kind, d)| (*kind, d.as_nanos() as u64))
             .collect(),
-    }
-}
-
-/// Lift a wire request into the serving front-end's owned vocabulary.
-fn owned_request(request: OneRequest) -> Request {
-    match request {
-        OneRequest::Point {
-            table,
-            column,
-            value,
-        } => Request::Point {
-            table,
-            column,
-            value,
-        },
-        OneRequest::Range {
-            table,
-            column,
-            lo,
-            hi,
-        } => Request::Range {
-            table,
-            column,
-            lo,
-            hi,
-        },
-        OneRequest::Query(spec) => Request::Query(owned_spec(spec)),
-    }
-}
-
-fn owned_spec(spec: Spec) -> QuerySpec {
-    QuerySpec {
-        table: spec.table,
-        filters: spec.filters,
-        join: spec.join,
-        group: spec.group,
-        forced_kind: spec.forced_kind,
-        exec: spec.exec,
     }
 }

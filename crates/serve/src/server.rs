@@ -4,12 +4,11 @@
 //! and demultiplex per-client answers in submission order.
 
 use crate::engine::{ServeEngine, ServeSource, SnapshotInfo};
-use crate::request::{QuerySpec, Request};
 use ccindex_obs as obs;
 use ccindex_parallel::sync::atomic::{AtomicUsize, Ordering};
 use ccindex_parallel::sync::{thread, Arc, Condvar, Instant, Mutex};
 use ccindex_parallel::{BlockingQueue, WorkerPool};
-use mmdb::{parse_knob, MmdbError, Result, ResultRows};
+use mmdb::{parse_knob, MmdbError, QuerySpec, Request, Result, ResultRows};
 use std::collections::BTreeMap;
 use std::time::Duration;
 

@@ -25,11 +25,11 @@
 //! that is out of range or a non-integer measure surfaces as the same
 //! typed error no matter which side of the wire noticed.
 
-use ccindex_wire::Spec;
 use mmdb::plan::Plan;
 use mmdb::{
     group_aggregate_pairs, indexed_nested_loop_join_rids_par, AggFn, CatalogState, Column,
-    Database, ExecOptions, GroupRow, IndexKind, MmdbError, RebuildReport, Result, Table, Value,
+    Database, ExecOptions, GroupRow, IndexKind, MmdbError, QuerySpec, RebuildReport, Result, Table,
+    Value,
 };
 
 use crate::remote::RemoteShard;
@@ -110,7 +110,7 @@ pub trait ShardBackend: std::fmt::Debug + Send + Sync {
     /// Compile a query description through this shard's planner. Every
     /// shard holds the same schema and indexes, so the coordinator uses
     /// shard 0's plan as the scatter template.
-    fn compile(&self, spec: &Spec) -> Result<Plan>;
+    fn compile(&self, spec: &QuerySpec) -> Result<Plan>;
 
     /// Column names of `table`, in declaration order.
     fn columns(&self, table: &str) -> Result<Vec<String>>;
@@ -331,28 +331,6 @@ pub fn catalog_column_values(
     }
 }
 
-/// [`ShardBackend::compile`] over a catalog: replay the wire-level
-/// query description through the ordinary builder.
-pub fn catalog_compile(cat: &CatalogState, spec: &Spec) -> Result<Plan> {
-    let mut q = cat.query(&spec.table);
-    for p in &spec.filters {
-        q = q.filter(p.clone());
-    }
-    if let Some((inner, cond)) = &spec.join {
-        q = q.join(inner, cond.clone());
-    }
-    if let Some((column, agg)) = &spec.group {
-        q = q.group_by(column, agg.clone());
-    }
-    if let Some(kind) = spec.forced_kind {
-        q = q.using(kind);
-    }
-    if let Some(exec) = spec.exec {
-        q = q.exec(exec);
-    }
-    q.plan()
-}
-
 /// [`ShardBackend::columns`] over a catalog.
 pub fn catalog_columns(cat: &CatalogState, table: &str) -> Result<Vec<String>> {
     Ok(cat
@@ -443,8 +421,8 @@ impl ShardBackend for LocalShard {
         catalog_column_values(self.db.catalog(), table, column, rids)
     }
 
-    fn compile(&self, spec: &Spec) -> Result<Plan> {
-        catalog_compile(self.db.catalog(), spec)
+    fn compile(&self, spec: &QuerySpec) -> Result<Plan> {
+        self.db.catalog().plan(spec)
     }
 
     fn columns(&self, table: &str) -> Result<Vec<String>> {
@@ -620,9 +598,9 @@ impl ShardBackend for ShardPin {
         }
     }
 
-    fn compile(&self, spec: &Spec) -> Result<Plan> {
+    fn compile(&self, spec: &QuerySpec) -> Result<Plan> {
         match self {
-            ShardPin::Local(cat) => catalog_compile(cat, spec),
+            ShardPin::Local(cat) => cat.plan(spec),
             ShardPin::Remote(r) => r.compile(spec),
         }
     }

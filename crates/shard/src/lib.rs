@@ -47,8 +47,8 @@ mod remote;
 mod sharded;
 
 pub use backend::{
-    catalog_column_values, catalog_columns, catalog_compile, catalog_group_partial,
-    catalog_join_probe_batch, catalog_select, LocalShard, ShardBackend, ShardInfo, ShardPin,
+    catalog_column_values, catalog_columns, catalog_group_partial, catalog_join_probe_batch,
+    catalog_select, LocalShard, ShardBackend, ShardInfo, ShardPin,
 };
 pub use partition::{HashPartitioner, Partitioner, RangePartitioner};
 pub use remote::{RemoteShard, SHARD_TIMEOUT_KNOB};

@@ -28,11 +28,11 @@ use std::time::Duration;
 
 use ccindex_obs as obs;
 use ccindex_parallel::sync::Arc as ObsArc;
-use ccindex_wire::{self as wire, OneRequest, ShardRequest, ShardResponse, Spec};
+use ccindex_wire::{self as wire, ShardRequest, ShardResponse};
 use mmdb::plan::{parse_knob, Plan};
 use mmdb::{
-    AggFn, ExecOptions, GroupRow, IndexKind, MmdbError, RebuildReport, Result, ResultRows, Table,
-    TransportFault, Value,
+    AggFn, ExecOptions, GroupRow, IndexKind, MmdbError, QuerySpec, RebuildReport, Request, Result,
+    ResultRows, Table, TransportFault, Value,
 };
 
 use crate::backend::{ShardBackend, ShardInfo, ShardPin};
@@ -232,7 +232,7 @@ impl RemoteShard {
     /// Compile and execute a query description on the server, returning
     /// its result rows. Used by the serving layer to front a whole
     /// remote engine.
-    pub fn run_spec(&self, spec: &Spec) -> Result<ResultRows> {
+    pub fn run_spec(&self, spec: &QuerySpec) -> Result<ResultRows> {
         match self.call(&ShardRequest::RunSpec { spec: spec.clone() })? {
             ShardResponse::Rows(rows) => Ok(rows),
             other => Err(self.bad_reply(&other)),
@@ -243,7 +243,7 @@ impl RemoteShard {
     /// `span`'s id, and the server's timing breakdown comes back in the
     /// response frame and is grafted under `span` — one cross-process
     /// latency tree, no clock synchronisation needed.
-    pub fn run_spec_traced(&self, spec: &Spec, span: &mut obs::Span) -> Result<ResultRows> {
+    pub fn run_spec_traced(&self, spec: &QuerySpec, span: &mut obs::Span) -> Result<ResultRows> {
         let req = ShardRequest::RunSpec { spec: spec.clone() };
         let mut rpc = span.child(format!("rpc:{}", self.addr));
         let (resp, node) = self.call_traced(&req, span.id())?;
@@ -270,7 +270,7 @@ impl RemoteShard {
     /// `BatchServer`, one result per request in submission order.
     pub fn execute_batch(
         &self,
-        requests: Vec<OneRequest>,
+        requests: Vec<Request>,
     ) -> Result<Vec<std::result::Result<ResultRows, MmdbError>>> {
         match self.call(&ShardRequest::ExecuteBatch { requests })? {
             ShardResponse::Batch(results) => Ok(results),
@@ -410,7 +410,7 @@ impl ShardBackend for RemoteShard {
         }
     }
 
-    fn compile(&self, spec: &Spec) -> Result<Plan> {
+    fn compile(&self, spec: &QuerySpec) -> Result<Plan> {
         match self.call(&ShardRequest::Compile { spec: spec.clone() })? {
             ShardResponse::Plan(plan) => Ok(plan),
             other => Err(self.bad_reply(&other)),

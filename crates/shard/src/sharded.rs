@@ -34,12 +34,11 @@ use crate::remote::RemoteShard;
 use ccindex_obs as obs;
 use ccindex_parallel::sync::Arc as MetricArc;
 use ccindex_parallel::WorkerPool;
-use ccindex_wire::Spec;
 use mmdb::domain::Value;
 use mmdb::plan::{Plan, Probe, Side};
 use mmdb::{
     Agg, AggFn, Column, Database, ExecOptions, GroupRow, IndexKind, JoinOn, JoinRow, MmdbError,
-    Pinned, Predicate, RebuildReport, Result, ResultRows, SwapSlot, Table,
+    Pinned, Predicate, QuerySpec, RebuildReport, Result, ResultRows, SwapSlot, Table,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -824,6 +823,13 @@ impl ShardedState {
         self.view().query(table)
     }
 
+    /// Compile `spec` against this generation: resolve names and access
+    /// paths on shard 0 (every shard has the same schema and indexes),
+    /// then compute the shard routing from the partitioner.
+    pub fn plan(&self, spec: &QuerySpec) -> Result<ShardedPlan> {
+        self.view().plan(spec)
+    }
+
     fn view(&self) -> ShardView<'_> {
         ShardView {
             partitioner: &*self.partitioner,
@@ -968,12 +974,7 @@ impl<'a> ShardView<'a> {
     fn query(self, table: impl Into<String>) -> ShardedQuery<'a> {
         ShardedQuery {
             view: self,
-            table: table.into(),
-            filters: Vec::new(),
-            join: None,
-            group: None,
-            forced_kind: None,
-            exec: None,
+            spec: QuerySpec::table(table),
         }
     }
 }
@@ -1018,85 +1019,81 @@ fn split_table(table: &Table, locals: &[Vec<u32>]) -> Vec<Table> {
 // ---------------------------------------------------------------------
 
 /// A composable query over a [`ShardedDatabase`] or a pinned
-/// [`ShardedSnapshot`] — the same surface as [`mmdb::Query`]
-/// (`filter`/`join`/`group_by`/`using`/`exec`), compiled by
-/// [`ShardedQuery::plan`] into a [`ShardedPlan`] whose routing is
-/// inspectable and whose executor scatter-gathers across the shards.
+/// [`ShardedSnapshot`]: a [`QuerySpec`] bound to the shards, with the
+/// same builder surface as [`mmdb::Query`]. [`ShardedQuery::plan`]
+/// compiles it into a [`ShardedPlan`] whose routing is inspectable and
+/// whose executor scatter-gathers across the shards. Conjuncts on the
+/// shard-key column additionally prune the scatter set.
 #[derive(Debug, Clone)]
 pub struct ShardedQuery<'db> {
     view: ShardView<'db>,
-    table: String,
-    filters: Vec<Predicate>,
-    join: Option<(String, JoinOn)>,
-    group: Option<(String, Agg)>,
-    forced_kind: Option<IndexKind>,
-    exec: Option<ExecOptions>,
+    spec: QuerySpec,
 }
 
 impl<'db> ShardedQuery<'db> {
-    /// Add a conjunct; multiple filters AND together. Conjuncts on the
-    /// shard-key column additionally prune the scatter set.
+    /// [`QuerySpec::filter`].
     pub fn filter(mut self, predicate: Predicate) -> Self {
-        self.filters.push(predicate);
+        self.spec = self.spec.filter(predicate);
         self
     }
 
-    /// Indexed nested-loop join against `inner_table` (which must also
-    /// be registered in this sharded catalog).
+    /// [`QuerySpec::join`]; the inner table must also be registered in
+    /// this sharded catalog.
     pub fn join(mut self, inner_table: &str, condition: JoinOn) -> Self {
-        self.join = Some((inner_table.to_owned(), condition));
+        self.spec = self.spec.join(inner_table, condition);
         self
     }
 
-    /// Group the result by `column` and aggregate each group; per-shard
-    /// partials merge at the gather barrier.
+    /// [`QuerySpec::group_by`]; per-shard partials merge at the gather
+    /// barrier.
     pub fn group_by(mut self, column: &str, agg: Agg) -> Self {
-        self.group = Some((column.to_owned(), agg));
+        self.spec = self.spec.group_by(column, agg);
         self
     }
 
-    /// Force every probe through one [`IndexKind`] (must be built via
-    /// [`ShardedDatabase::create_index`], i.e. on every shard).
+    /// [`QuerySpec::using`]; the kind must be built via
+    /// [`ShardedDatabase::create_index`], i.e. on every shard.
     pub fn using(mut self, kind: IndexKind) -> Self {
-        self.forced_kind = Some(kind);
+        self.spec = self.spec.using(kind);
         self
     }
 
-    /// Override the catalog's [`ExecOptions`] for this query alone.
+    /// [`QuerySpec::exec`].
     pub fn exec(mut self, options: ExecOptions) -> Self {
-        self.exec = Some(options);
+        self.spec = self.spec.exec(options);
         self
     }
 
-    /// Compile: resolve names and access paths against shard 0 (every
-    /// shard has the same schema and indexes), then compute the shard
-    /// routing from the partitioner.
+    /// Compile ([`ShardedState::plan`]).
     pub fn plan(&self) -> Result<ShardedPlan> {
-        let view = &self.view;
-        let meta = view.meta(&self.table)?;
+        self.view.plan(&self.spec)
+    }
+
+    /// Compile and execute.
+    pub fn run(&self) -> Result<ShardedResultSet<'db>> {
+        self.plan()?.execute_view(self.view.clone())
+    }
+}
+
+impl ShardView<'_> {
+    /// The body of [`ShardedState::plan`].
+    fn plan(&self, spec: &QuerySpec) -> Result<ShardedPlan> {
+        let meta = self.meta(&spec.table)?;
         // The per-shard template: one compile is enough because every
         // shard holds the same tables, columns and index kinds. Shard 0
         // compiles it — through its local planner or across the wire —
         // so local and remote catalogs produce the same template.
-        let spec = Spec {
-            table: self.table.clone(),
-            filters: self.filters.clone(),
-            join: self.join.clone(),
-            group: self.group.clone(),
-            forced_kind: self.forced_kind,
-            exec: self.exec,
-        };
-        let template = view.shards[0].compile(&spec)?;
+        let template = self.shards[0].compile(spec)?;
 
         // Routing: each shard-key conjunct prunes; everything else fans.
-        let nshards = view.shards.len();
+        let nshards = self.shards.len();
         let mut probe_targets = Vec::with_capacity(template.probes.len());
         let mut selected: BTreeSet<usize> = (0..nshards).collect();
         for step in &template.probes {
             let target = if step.column == meta.shard_key {
                 let routed = match &step.probe {
-                    Probe::Point(v) => view.partitioner.probe_shards(v),
-                    Probe::Range(lo, hi) => view.partitioner.range_shards(lo, hi),
+                    Probe::Point(v) => self.partitioner.probe_shards(v),
+                    Probe::Range(lo, hi) => self.partitioner.range_shards(lo, hi),
                 };
                 if routed.len() == nshards {
                     ShardTargets::All
@@ -1113,8 +1110,8 @@ impl<'db> ShardedQuery<'db> {
             probe_targets.push(target);
         }
 
-        let join = self.join.as_ref().map(|(inner_table, cond)| {
-            let bucketed = view
+        let join = spec.join.as_ref().map(|(inner_table, cond)| {
+            let bucketed = self
                 .meta(inner_table)
                 .map(|m| m.shard_key == cond.inner())
                 .unwrap_or(false);
@@ -1129,18 +1126,13 @@ impl<'db> ShardedQuery<'db> {
             template,
             routing: ShardRouting {
                 shards: nshards,
-                partitioner: view.partitioner.describe(),
+                partitioner: self.partitioner.describe(),
                 shard_key: meta.shard_key.clone(),
                 probe_targets,
                 selected: selected.into_iter().collect(),
                 join,
             },
         })
-    }
-
-    /// Compile and execute.
-    pub fn run(&self) -> Result<ShardedResultSet<'db>> {
-        self.plan()?.execute_view(self.view.clone())
     }
 }
 
@@ -1568,13 +1560,7 @@ fn group_decoded_pairs(
                     }
                 };
                 acc.entry(group)
-                    .and_modify(|a| {
-                        *a = match agg {
-                            AggFn::Count | AggFn::Sum => *a + v,
-                            AggFn::Min => (*a).min(v),
-                            AggFn::Max => (*a).max(v),
-                        }
-                    })
+                    .and_modify(|a| *a = agg.combine(*a, v))
                     .or_insert(v);
             }
         }
@@ -1597,13 +1583,7 @@ fn merge_group_partials(agg: AggFn, partials: Vec<Vec<GroupRow>>) -> Vec<GroupRo
         for row in partial {
             merged
                 .entry(row.group)
-                .and_modify(|a| {
-                    *a = match agg {
-                        AggFn::Count | AggFn::Sum => *a + row.value,
-                        AggFn::Min => (*a).min(row.value),
-                        AggFn::Max => (*a).max(row.value),
-                    }
-                })
+                .and_modify(|a| *a = agg.combine(*a, row.value))
                 .or_insert(row.value);
         }
     }
@@ -1619,7 +1599,8 @@ fn merge_group_partials(agg: AggFn, partials: Vec<Vec<GroupRow>>) -> Vec<GroupRo
 
 /// A sharded query result: the gathered global rows, bound to the
 /// catalog so row values can be decoded on demand — the same surface as
-/// [`mmdb::ResultSet`], producing byte-identical [`ResultRows`].
+/// [`mmdb::ResultSet`], producing byte-identical [`ResultRows`] (and,
+/// like it, dereferencing to them).
 #[derive(Debug, Clone)]
 pub struct ShardedResultSet<'db> {
     view: ShardView<'db>,
@@ -1628,48 +1609,18 @@ pub struct ShardedResultSet<'db> {
     rows: ResultRows,
 }
 
+impl std::ops::Deref for ShardedResultSet<'_> {
+    type Target = ResultRows;
+
+    fn deref(&self) -> &ResultRows {
+        &self.rows
+    }
+}
+
 impl ShardedResultSet<'_> {
     /// The rows, whatever their shape.
     pub fn rows(&self) -> &ResultRows {
         &self.rows
-    }
-
-    /// Number of result rows.
-    pub fn len(&self) -> usize {
-        match &self.rows {
-            ResultRows::Rids(r) => r.len(),
-            ResultRows::Joined(r) => r.len(),
-            ResultRows::Groups(r) => r.len(),
-        }
-    }
-
-    /// Whether the result is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Selected global RIDs, ascending. Panics on join/group shapes.
-    pub fn rids(&self) -> &[u32] {
-        match &self.rows {
-            ResultRows::Rids(r) => r,
-            other => panic!("rids() on a {} result", shape_name(other)),
-        }
-    }
-
-    /// Join output pairs (global RIDs), in the sequential join's order.
-    pub fn join_rows(&self) -> &[JoinRow] {
-        match &self.rows {
-            ResultRows::Joined(r) => r,
-            other => panic!("join_rows() on a {} result", shape_name(other)),
-        }
-    }
-
-    /// Aggregated groups, in group-value order.
-    pub fn groups(&self) -> &[GroupRow] {
-        match &self.rows {
-            ResultRows::Groups(r) => r,
-            other => panic!("groups() on a {} result", shape_name(other)),
-        }
     }
 
     /// Decoded values of `column` for every result row, resolved through
@@ -1732,13 +1683,5 @@ impl ShardedResultSet<'_> {
                     .into(),
             }),
         }
-    }
-}
-
-fn shape_name(rows: &ResultRows) -> &'static str {
-    match rows {
-        ResultRows::Rids(_) => "selection",
-        ResultRows::Joined(_) => "join",
-        ResultRows::Groups(_) => "grouped",
     }
 }

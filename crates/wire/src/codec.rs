@@ -11,8 +11,8 @@
 use ccindex_obs::SpanNode;
 use mmdb::plan::{GroupStep, JoinStep, Plan, Probe, ProbeStep, Side};
 use mmdb::{
-    between, eq, on, Agg, AggFn, ExecOptions, GroupRow, IndexKind, JoinRow, MmdbError, Predicate,
-    PredicateOp, Result, ResultRows, StorageFault, TransportFault, Value,
+    on, Agg, AggFn, ExecOptions, GroupRow, IndexKind, JoinRow, MmdbError, Predicate, Result,
+    ResultRows, StorageFault, TransportFault, Value,
 };
 
 /// Append-only encode buffer.
@@ -362,30 +362,18 @@ pub fn get_probe(r: &mut Reader<'_>) -> Result<Probe> {
     }
 }
 
-/// Encode a [`Predicate`] through its public view.
+/// Encode a [`Predicate`]: its column, then its [`Probe`].
 pub fn put_predicate(w: &mut Writer, pred: &Predicate) {
-    w.str(pred.column());
-    match pred.op() {
-        PredicateOp::Eq(v) => {
-            w.u8(0);
-            put_value(w, v);
-        }
-        PredicateOp::Between(lo, hi) => {
-            w.u8(1);
-            put_value(w, lo);
-            put_value(w, hi);
-        }
-    }
+    w.str(&pred.column);
+    put_probe(w, &pred.probe);
 }
 
-/// Decode a [`Predicate`], reconstructing through [`eq`]/[`between`].
+/// Decode a [`Predicate`].
 pub fn get_predicate(r: &mut Reader<'_>) -> Result<Predicate> {
-    let column = r.str()?;
-    match r.u8()? {
-        0 => Ok(eq(&column, get_value(r)?)),
-        1 => Ok(between(&column, get_value(r)?, get_value(r)?)),
-        other => Err(r.fail(format!("bad Predicate tag {other}"))),
-    }
+    Ok(Predicate {
+        column: r.str()?,
+        probe: get_probe(r)?,
+    })
 }
 
 /// Encode a [`JoinOn`](mmdb::JoinOn) condition.

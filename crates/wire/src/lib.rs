@@ -47,6 +47,8 @@ pub use frame::{
 };
 pub use message::{
     read_request, read_request_traced, read_response, read_response_traced, write_request,
-    write_request_traced, write_response, write_response_traced, OneRequest, ShardRequest,
-    ShardResponse, Spec,
+    write_request_traced, write_response, write_response_traced, ShardRequest, ShardResponse,
 };
+
+/// The older wire-level name of [`mmdb::QuerySpec`], kept for callers that build `Spec { .. }`.
+pub use mmdb::QuerySpec as Spec;

@@ -5,12 +5,12 @@
 use ccindex_obs::SpanNode;
 use ccindex_wire::{
     read_frame, read_request_traced, read_response_traced, write_frame, write_request_traced,
-    write_response_traced, OneRequest, ShardRequest, ShardResponse, Spec, VERSION,
+    write_response_traced, ShardRequest, ShardResponse, VERSION,
 };
 use mmdb::plan::{GroupStep, JoinStep, Plan, Probe, ProbeStep, Side};
 use mmdb::{
     between, count, eq, max, on, sum, Agg, AggFn, ExecOptions, GroupRow, IndexKind, JoinRow,
-    MmdbError, ResultRows, StorageFault, TransportFault, Value,
+    MmdbError, QuerySpec, Request, ResultRows, StorageFault, TransportFault, Value,
 };
 use proptest::prelude::*;
 
@@ -102,7 +102,7 @@ impl Gen {
         }
     }
 
-    fn spec(&mut self) -> Spec {
+    fn spec(&mut self) -> QuerySpec {
         let filters = (0..self.below(3))
             .map(|_| {
                 if self.below(2) == 0 {
@@ -112,7 +112,7 @@ impl Gen {
                 }
             })
             .collect();
-        Spec {
+        QuerySpec {
             table: self.string(),
             filters,
             join: if self.below(2) == 0 {
@@ -146,20 +146,20 @@ impl Gen {
         }
     }
 
-    fn one_request(&mut self) -> OneRequest {
+    fn one_request(&mut self) -> Request {
         match self.below(3) {
-            0 => OneRequest::Point {
+            0 => Request::Point {
                 table: self.string(),
                 column: self.string(),
                 value: self.value(),
             },
-            1 => OneRequest::Range {
+            1 => Request::Range {
                 table: self.string(),
                 column: self.string(),
                 lo: self.value(),
                 hi: self.value(),
             },
-            _ => OneRequest::Query(self.spec()),
+            _ => Request::Query(self.spec()),
         }
     }
 

@@ -39,11 +39,11 @@
 //! | [`hash`] | `hashindex` | Chained bucket hash |
 //! | [`sim`] | `cachesim` | Cache simulator + 1998 machine models |
 //! | [`model`] | `analysis` | §5 analytical time/space models |
-//! | [`db`] | `mmdb` | Main-memory OLAP database substrate |
+//! | [`db`] | `mmdb` | Main-memory OLAP database substrate; the one owned query value (`QuerySpec`, `Request`) |
 //! | [`store`] | `ccindex-store` | Versioned, checksummed paged on-disk container |
 //! | [`shard`] | `ccindex-shard` | Sharded catalog with scatter-gather execution (local or remote shards) |
 //! | [`serve`] | `ccindex-serve` | Batch-formation serving front-end + TCP shard server |
-//! | [`wire`] | `ccindex-wire` | Versioned, checksummed shard wire protocol |
+//! | [`wire`] | `ccindex-wire` | Versioned, checksummed shard wire protocol (encodes `db`'s query values) |
 //! | [`obs`] | `ccindex-obs` | Metrics registry, latency histograms, query tracing |
 //! | [`gen`] | `workload` | Key/lookup/update generators |
 //! | [`parallel`] | `ccindex-parallel` | Scoped worker pool for partitioned execution |
@@ -78,8 +78,8 @@ pub mod prelude {
     pub use crate::db::{
         between, build_index, build_ordered_index, count, eq, indexed_nested_loop_join, max, min,
         on, point_select, point_select_many, range_select, range_select_many, sum, Agg, Database,
-        DatabaseHandle, Domain, ExecOptions, IndexKind, MmdbError, ResultRows, RidList, Snapshot,
-        StorageFault, Table, TableBuilder, Value,
+        DatabaseHandle, Domain, ExecOptions, IndexKind, MmdbError, QuerySpec, Request, ResultRows,
+        RidList, Snapshot, StorageFault, Table, TableBuilder, Value,
     };
     pub use crate::gen::{KeyDistribution, KeySetBuilder, LookupStream};
     pub use crate::hash::HashIndex;
@@ -87,8 +87,7 @@ pub mod prelude {
     pub use crate::obs::{Counter, Gauge, Histogram, Registry, Span, SpanNode};
     pub use crate::parallel::{BlockingQueue, WorkerPool};
     pub use crate::serve::{
-        BatchServer, QuerySpec, Request, ServeEngine, ServeOptions, ServeSource, ShardServer,
-        SnapshotInfo,
+        BatchServer, ServeEngine, ServeOptions, ServeSource, ShardServer, SnapshotInfo,
     };
     pub use crate::shard::{
         HashPartitioner, LocalShard, Partitioner, RangePartitioner, RemoteShard, ShardBackend,

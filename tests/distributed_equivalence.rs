@@ -344,3 +344,51 @@ fn wire_shutdown_stops_a_server_and_later_connects_fail_typed() {
         "expected a typed transport error, got {err:?}"
     );
 }
+
+#[test]
+fn remote_batch_window_matches_a_local_batch_server() {
+    // The remote serving path end to end: `RemoteShard::execute_batch`
+    // ships one mixed window to a `ShardServer`, whose `BatchServer`
+    // answers it. Every answer, typed errors included, must equal a
+    // local `BatchServer::run_batch` over the same catalog.
+    let rows = 400;
+    let requests = vec![
+        Request::point("orders", "cust", 42i64),
+        Request::range("orders", "amount", 200i64, 700i64),
+        Request::point("orders", "cust", 42i64),
+        Request::point("orders", "day", "tue"),
+        Request::range("orders", "amount", 700i64, 200i64),
+        Request::query(
+            QuerySpec::table("orders")
+                .filter(between("amount", 50, 950))
+                .join("customers", on("cust", "id"))
+                .group_by("region", sum("amount")),
+        ),
+        Request::point("nope", "cust", 1i64),
+        Request::query(QuerySpec::table("orders").group_by("day", count())),
+    ];
+    let local = unsharded(rows);
+    let want = BatchServer::with_options(&local, ServeOptions::default()).run_batch(&requests);
+    assert_eq!(
+        want[6],
+        Err(MmdbError::UnknownTable {
+            table: "nope".into()
+        })
+    );
+    let server = ShardServer::spawn(unsharded(rows)).unwrap();
+    let shard = RemoteShard::connect(server.addr().as_str()).unwrap();
+    assert_eq!(shard.execute_batch(requests.clone()).unwrap(), want);
+
+    // The window bounds play no part in a single remote window, so a
+    // malformed `CCINDEX_BATCH_MAX` in the server's environment must
+    // not change any answer.
+    let saved = std::env::var_os("CCINDEX_BATCH_MAX");
+    std::env::set_var("CCINDEX_BATCH_MAX", "not-a-number");
+    let got = shard.execute_batch(requests);
+    match saved {
+        Some(v) => std::env::set_var("CCINDEX_BATCH_MAX", v),
+        None => std::env::remove_var("CCINDEX_BATCH_MAX"),
+    }
+    assert_eq!(got.unwrap(), want);
+    server.shutdown();
+}
