@@ -1,13 +1,13 @@
 //! Sequential vs batched lookups (beyond-paper batching study).
 //!
 //! The observable: with the array far beyond the last-level cache, the
-//! CSS variants' interleaved `search_batch` overrides overlap independent
+//! CSS variants' interleaved `search_batch_lanes` overrides overlap independent
 //! probes' node fetches and beat their own sequential protocol, while the
 //! sequential-default methods (binary search, B+-tree) bound the cost of
 //! the batch plumbing itself.
 
 use bench::methods::batched_comparison_methods;
-use ccindex_common::SortedArray;
+use ccindex_common::{SortedArray, DEFAULT_BATCH_LANES};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use workload::{KeySetBuilder, LookupStream};
 
@@ -37,7 +37,12 @@ fn bench_batched(c: &mut Criterion) {
             b.iter(|| {
                 let mut found = 0usize;
                 for chunk in probes.chunks(4096) {
-                    found += m.index.search_batch(chunk).iter().flatten().count();
+                    found += m
+                        .index
+                        .search_batch_lanes(chunk, DEFAULT_BATCH_LANES)
+                        .iter()
+                        .flatten()
+                        .count();
                 }
                 found
             })

@@ -16,6 +16,9 @@
 //!   --lookups <N>          probes per measurement (default 100000)
 //! ```
 //!
+//! An unknown figure, option, scale or machine exits with status 2 and
+//! a message listing the valid values.
+//!
 //! The timing subcommands (`batched engine parallel sharded serve
 //! concurrent`) also flush their measurements as machine-readable
 //! `BENCH_<what>.json` files (name, params, ns/op, throughput) alongside
@@ -38,13 +41,13 @@ use bench::protocol::{
 };
 use bench::report::{format_num, print_series, write_bench_json, BenchRecord, Series};
 use cachesim::Machine;
-use ccindex_common::{SearchIndex, SortedArray};
+use ccindex_common::{OrderedIndex, SearchIndex, SortedArray, DEFAULT_BATCH_LANES};
 use css_tree::{CssVariant, DynCssTree, FullCssTree, LevelCssTree};
 use workload::{KeyDistribution, KeySetBuilder, LookupStream, DEFAULT_SEED};
 
 use std::time::Instant;
 
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 struct Options {
     simulate: Option<String>,
     paper_scale: bool,
@@ -79,8 +82,48 @@ impl Options {
     }
 }
 
-fn main() {
-    let mut args = std::env::args().skip(1);
+/// The names that select a figure, and the function that prints it.
+type Figure = (&'static [&'static str], fn(&Options));
+
+/// Every figure `figures` can print, in run order. Names sharing an
+/// entry (the host run of `fig10`/`fig11` is one table) run it once.
+const FIGURES: &[Figure] = &[
+    (&["fig1"], |_| fig1()),
+    (&["table1"], |_| table1()),
+    (&["fig5"], |_| fig5()),
+    (&["fig6"], |_| fig6()),
+    (&["fig7"], |_| fig7()),
+    (&["fig8"], |_| fig8()),
+    (&["fig9"], fig9),
+    (&["fig10", "fig11"], fig10_11),
+    (&["fig12", "fig13"], fig12_13),
+    (&["fig2", "fig14"], fig14),
+    (&["warmcache"], warmcache),
+    (&["interp"], interp),
+    (&["batched"], batched),
+    (&["engine"], engine),
+    (&["parallel"], parallel),
+    (&["sharded"], sharded),
+    (&["distributed"], distributed),
+    (&["serve"], serve),
+    (&["concurrent"], concurrent),
+    (&["ablations"], ablations),
+    (&["slo"], slo),
+    (&["coldstart"], coldstart),
+];
+
+/// Valid `--scale` values; `paper` selects the original problem sizes.
+const SCALES: [&str; 2] = ["small", "paper"];
+
+/// Valid `--simulate` machine names.
+const MACHINES: [&str; 3] = ["ultrasparc", "pentium2", "modern"];
+
+/// Parse the command line (without the program name) into options and
+/// the indexes of the [`FIGURES`] entries to run, in run order. No
+/// figure names, or `all`, selects every entry. Any unknown figure,
+/// option, scale or machine is an error naming the valid values.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<(Options, Vec<usize>), String> {
+    let mut args = args.into_iter();
     let mut opts = Options {
         simulate: None,
         paper_scale: false,
@@ -88,97 +131,134 @@ fn main() {
     };
     let mut what: Vec<String> = Vec::new();
     while let Some(arg) = args.next() {
+        let mut value = |valid: &str| {
+            args.next()
+                .ok_or_else(|| format!("{arg} needs a value ({valid})"))
+        };
         match arg.as_str() {
             "--simulate" => {
-                opts.simulate = Some(args.next().expect("--simulate needs a machine name"));
+                let name = value(&MACHINES.join("|"))?;
+                if Machine::by_name(&name).is_none() {
+                    return Err(format!(
+                        "unknown machine `{name}`; valid: {}",
+                        MACHINES.join(" ")
+                    ));
+                }
+                opts.simulate = Some(name);
             }
             "--scale" => {
-                let v = args.next().expect("--scale needs small|paper");
-                opts.paper_scale = v == "paper";
+                let scale = value(&SCALES.join("|"))?;
+                if !SCALES.contains(&scale.as_str()) {
+                    return Err(format!(
+                        "unknown scale `{scale}`; valid: {}",
+                        SCALES.join(" ")
+                    ));
+                }
+                opts.paper_scale = scale == "paper";
             }
             "--lookups" => {
-                opts.lookups = args
-                    .next()
-                    .expect("--lookups needs a count")
+                let count = value("a probe count")?;
+                opts.lookups = count
                     .parse()
-                    .expect("invalid lookup count");
+                    .map_err(|_| format!("invalid lookup count `{count}`"))?;
             }
-            other if other.starts_with("--") => panic!("unknown option {other}"),
+            other if other.starts_with("--") => {
+                return Err(format!(
+                    "unknown option `{other}`; valid: --simulate --scale --lookups"
+                ))
+            }
             other => what.push(other.to_string()),
         }
     }
-    if what.is_empty() {
-        what.push("all".to_string());
+    let names = || FIGURES.iter().flat_map(|(names, _)| names.iter().copied());
+    if let Some(bad) = what
+        .iter()
+        .find(|w| *w != "all" && !names().any(|n| n == w.as_str()))
+    {
+        let valid: Vec<&str> = names().chain(["all"]).collect();
+        return Err(format!(
+            "unknown figure `{bad}`; valid: {}",
+            valid.join(" ")
+        ));
     }
-    let all = what.iter().any(|w| w == "all");
-    let want = |name: &str| all || what.iter().any(|w| w == name);
+    let all = what.is_empty() || what.iter().any(|w| w == "all");
+    let selected = FIGURES
+        .iter()
+        .enumerate()
+        .filter(|(_, (names, _))| all || names.iter().any(|n| what.iter().any(|w| w == n)))
+        .map(|(i, _)| i)
+        .collect();
+    Ok((opts, selected))
+}
 
-    if want("fig1") {
-        fig1();
+fn main() -> std::process::ExitCode {
+    match parse_args(std::env::args().skip(1)) {
+        Ok((opts, selected)) => {
+            for i in selected {
+                (FIGURES[i].1)(&opts);
+            }
+            std::process::ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("figures: {e}");
+            std::process::ExitCode::from(2)
+        }
     }
-    if want("table1") {
-        table1();
-    }
-    if want("fig5") {
-        fig5();
-    }
-    if want("fig6") {
-        fig6();
-    }
-    if want("fig7") {
-        fig7();
-    }
-    if want("fig8") {
-        fig8();
-    }
-    if want("fig9") {
-        fig9(&opts);
-    }
-    if want("fig10") || want("fig11") {
-        fig10_11(&opts);
-    }
-    if want("fig12") || want("fig13") {
-        fig12_13(&opts);
-    }
-    if want("fig2") || want("fig14") {
-        fig14(&opts);
-    }
-    if want("warmcache") {
-        warmcache(&opts);
-    }
-    if want("interp") {
-        interp(&opts);
-    }
-    if want("batched") {
-        batched(&opts);
-    }
-    if want("engine") {
-        engine(&opts);
-    }
-    if want("parallel") {
-        parallel(&opts);
-    }
-    if want("sharded") {
-        sharded(&opts);
-    }
-    if want("distributed") {
-        distributed(&opts);
-    }
-    if want("serve") {
-        serve(&opts);
-    }
-    if want("concurrent") {
-        concurrent(&opts);
-    }
-    if want("ablations") {
-        ablations(&opts);
-    }
-    if want("slo") {
-        slo(&opts);
-    }
-    if want("coldstart") {
-        coldstart(&opts);
-    }
+}
+
+/// Region names the star-schema figures cycle their customers through.
+const REGIONS: [&str; 8] = ["north", "south", "east", "west", "nw", "ne", "sw", "se"];
+
+/// The `orders ⋈ customers` star the engine-level figures query:
+/// `orders(cust, amount)` with `n_orders` rows over `n_orders / 20`
+/// customers (at least 100), and `customers(id, region)` cycling through
+/// `regions`.
+fn star_tables(n_orders: usize, regions: &[&str]) -> (mmdb::Table, mmdb::Table) {
+    let n_customers = (n_orders / 20).max(100);
+    let orders = mmdb::TableBuilder::new("orders")
+        .int_column(
+            "cust",
+            (0..n_orders)
+                .map(|i| ((i as u64).wrapping_mul(2_654_435_761) % n_customers as u64) as i64),
+        )
+        .int_column(
+            "amount",
+            (0..n_orders).map(|i| ((i as u64).wrapping_mul(48_271) % 10_000) as i64),
+        )
+        .build()
+        .expect("equal columns");
+    let customers = mmdb::TableBuilder::new("customers")
+        .int_column("id", 0..n_customers as i64)
+        .str_column(
+            "region",
+            (0..n_customers).map(|i| regions[i % regions.len()]),
+        )
+        .build()
+        .expect("equal columns");
+    (orders, customers)
+}
+
+/// The single-column `orders(amount)` table the serving figures probe:
+/// `n` rows over `n / 2` distinct amounts.
+fn amount_orders(n: usize) -> mmdb::Table {
+    mmdb::TableBuilder::new("orders")
+        .int_column(
+            "amount",
+            (0..n).map(|i| ((i as u64).wrapping_mul(48_271) % (n as u64 / 2)) as i64),
+        )
+        .build()
+        .expect("equal columns")
+}
+
+/// Best wall-clock seconds over three runs of `f`.
+fn best_of_3(f: &dyn Fn()) -> f64 {
+    (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Flush one subcommand's measurements as `BENCH_<figure>.json` next to
@@ -196,32 +276,26 @@ fn flush_bench(figure: &str, records: &[BenchRecord]) {
 /// over client counts x batch-window sizes against the one-probe-at-a-
 /// time baseline (`batch_max = 1`: every request is its own window and
 /// its own index descent). Wider windows coalesce same-column probes
-/// into single interleaved `lower_bound_batch` descents, so requests/s
-/// should climb with the window bound; every configuration's answers
-/// are asserted byte-identical to the baseline's before it is timed.
+/// into single interleaved `lower_bound_batch_lanes` descents, so
+/// requests/s should climb with the window bound; every configuration's
+/// answers are asserted byte-identical to the baseline's before it is
+/// timed.
 /// The sharded rows route the same traffic through a 4-shard catalog's
 /// scatter entry points.
 fn serve(opts: &Options) {
     use ccindex_shard::ShardedDatabase;
-    use mmdb::{Database, IndexKind, TableBuilder};
+    use mmdb::{Database, IndexKind};
 
     let n = opts.scaled(2_000_000);
     let per_client = (opts.lookups / 50).clamp(64, 2_000);
-    let orders = || {
-        TableBuilder::new("orders")
-            .int_column(
-                "amount",
-                (0..n).map(|i| ((i as u64).wrapping_mul(48_271) % (n as u64 / 2)) as i64),
-            )
-            .build()
-            .expect("equal columns")
-    };
     let mut base = Database::new();
-    base.register(orders()).expect("fresh catalog");
+    base.register(amount_orders(n)).expect("fresh catalog");
     base.create_index("orders", "amount", IndexKind::FullCss)
         .expect("column");
     let mut sharded = ShardedDatabase::hash(4).expect("four shards");
-    sharded.register(orders(), "amount").expect("fresh catalog");
+    sharded
+        .register(amount_orders(n), "amount")
+        .expect("fresh catalog");
     sharded
         .create_index("orders", "amount", IndexKind::FullCss)
         .expect("column");
@@ -359,15 +433,6 @@ fn concurrent(opts: &Options) {
     // figure is a ratio of wall-clocks, so jitter shows up directly.
     let per_client = (opts.lookups / 5).clamp(256, 20_000);
     let feed_rows = 4_096usize;
-    let orders = || {
-        TableBuilder::new("orders")
-            .int_column(
-                "amount",
-                (0..n).map(|i| ((i as u64).wrapping_mul(48_271) % (n as u64 / 2)) as i64),
-            )
-            .build()
-            .expect("equal columns")
-    };
     let feed = || {
         TableBuilder::new("feed")
             .int_column("value", (0..feed_rows).map(|i| (i as i64 * 7) % 1_000))
@@ -401,7 +466,7 @@ fn concurrent(opts: &Options) {
     let mut records = Vec::new();
 
     let mut base = Database::new();
-    base.register(orders()).expect("fresh catalog");
+    base.register(amount_orders(n)).expect("fresh catalog");
     base.register(feed()).expect("fresh catalog");
     base.create_index("orders", "amount", IndexKind::FullCss)
         .expect("column");
@@ -433,7 +498,9 @@ fn concurrent(opts: &Options) {
     }
 
     let mut sharded = ShardedDatabase::hash(4).expect("four shards");
-    sharded.register(orders(), "amount").expect("fresh catalog");
+    sharded
+        .register(amount_orders(n), "amount")
+        .expect("fresh catalog");
     sharded.register(feed(), "value").expect("fresh catalog");
     sharded
         .create_index("orders", "amount", IndexKind::FullCss)
@@ -622,6 +689,16 @@ fn batched(opts: &Options) {
         .simulate
         .as_ref()
         .map(|name| Machine::by_name(name).unwrap_or_else(|| panic!("unknown machine '{name}'")));
+    for m in &methods {
+        let probes = stream.probes();
+        let sequential: Vec<_> = probes.iter().map(|&p| m.index.search(p)).collect();
+        let batched = m.index.search_batch_lanes(probes, DEFAULT_BATCH_LANES);
+        assert_eq!(
+            batched, sequential,
+            "{}: batched must equal sequential",
+            m.label
+        );
+    }
     let block = 4096usize;
     let rows = compare_sequential_vs_batched(&methods, stream.probes(), 3, block, machine.as_mut());
     println!(
@@ -667,31 +744,11 @@ fn batched(opts: &Options) {
 /// should win the range-driven queries; the hash index is picked
 /// automatically for equality probes wherever it is registered.
 fn engine(opts: &Options) {
-    use mmdb::{between, eq, on, sum, Database, IndexKind, TableBuilder};
+    use mmdb::{between, eq, on, sum, Database, IndexKind};
 
     let n_orders = opts.scaled(2_000_000);
-    let n_customers = (n_orders / 20).max(100);
-    let regions = ["north", "south", "east", "west", "nw", "ne", "sw", "se"];
-    let orders = TableBuilder::new("orders")
-        .int_column(
-            "cust",
-            (0..n_orders)
-                .map(|i| ((i as u64).wrapping_mul(2_654_435_761) % n_customers as u64) as i64),
-        )
-        .int_column(
-            "amount",
-            (0..n_orders).map(|i| ((i as u64).wrapping_mul(48_271) % 10_000) as i64),
-        )
-        .build()
-        .expect("equal columns");
-    let customers = TableBuilder::new("customers")
-        .int_column("id", 0..n_customers as i64)
-        .str_column(
-            "region",
-            (0..n_customers).map(|i| regions[i % regions.len()]),
-        )
-        .build()
-        .expect("equal columns");
+    let (orders, customers) = star_tables(n_orders, &REGIONS);
+    let n_customers = customers.rows();
 
     println!(
         "\n== Query engine: whole-query timings (host), {} orders x {} customers ==",
@@ -785,28 +842,19 @@ fn engine(opts: &Options) {
 
 /// Beyond-paper: partitioned parallel execution — the sequential baseline
 /// against the scoped-worker-pool operators at thread counts 1/2/4/8, on
-/// (a) batched CSS lower bounds (`lower_bound_batch_par`) and (b) whole
+/// (a) batched CSS lower bounds (`lower_bound_batch_lanes` on probe
+/// chunks partitioned by `WorkerPool::flat_map_chunks`) and (b) whole
 /// group-by pipelines through the `Database` engine
 /// (`ExecOptions { threads, .. }`). At `--scale paper` the key count is
 /// the acceptance target of 4 M; expect near-linear speedup up to the
 /// machine's core count (this host reports its own count in the header —
 /// on a single-core container every row sits near 1.0x by construction).
 fn parallel(opts: &Options) {
-    use ccindex_common::DEFAULT_BATCH_LANES;
-    use mmdb::{between, on, sum, Database, ExecOptions, IndexKind, TableBuilder};
+    use ccindex_parallel::WorkerPool;
+    use mmdb::{between, on, sum, Database, ExecOptions, IndexKind};
 
     let cores = ccindex_parallel::available_threads();
     let thread_counts = [1usize, 2, 4, 8];
-    let repeats = 3usize;
-    let best_of = |f: &dyn Fn()| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats {
-            let t0 = Instant::now();
-            f();
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
 
     // (a) Partitioned batched lower bounds over one full CSS-tree.
     let n = opts.scaled(4_000_000);
@@ -825,7 +873,7 @@ fn parallel(opts: &Options) {
         "threads", "seconds", "probes/s", "speedup"
     );
     let mut records = Vec::new();
-    let baseline = best_of(&|| {
+    let baseline = best_of_3(&|| {
         std::hint::black_box(css.lower_bound_batch_lanes(probes, lanes));
     });
     println!(
@@ -841,15 +889,23 @@ fn parallel(opts: &Options) {
             .param("n", n)
             .timed(probes.len() as f64, baseline),
     );
-    let reference = css.lower_bound_batch_lanes(probes, lanes);
+    let reference = css.lower_bound_batch_sequential(probes);
+    assert_eq!(
+        css.lower_bound_batch_lanes(probes, lanes),
+        reference,
+        "interleaved lower bounds must be byte-identical"
+    );
     for threads in thread_counts {
+        let pool = WorkerPool::new(threads);
+        let partitioned =
+            || pool.flat_map_chunks(probes, |chunk| css.lower_bound_batch_lanes(chunk, lanes));
         assert_eq!(
-            css.lower_bound_batch_par(probes, lanes, threads),
+            partitioned(),
             reference,
             "parallel lower bounds must be byte-identical"
         );
-        let t = best_of(&|| {
-            std::hint::black_box(css.lower_bound_batch_par(probes, lanes, threads));
+        let t = best_of_3(&|| {
+            std::hint::black_box(partitioned());
         });
         println!(
             "{:>10} {:>14} {:>18} {:>8.2}x",
@@ -868,35 +924,10 @@ fn parallel(opts: &Options) {
 
     // (b) Whole group-by pipelines through the engine.
     let n_orders = n;
-    let n_customers = (n_orders / 20).max(100);
-    let regions = ["north", "south", "east", "west", "nw", "ne", "sw", "se"];
+    let (orders, customers) = star_tables(n_orders, &REGIONS);
     let mut db = Database::new();
-    db.register(
-        TableBuilder::new("orders")
-            .int_column(
-                "cust",
-                (0..n_orders)
-                    .map(|i| ((i as u64).wrapping_mul(2_654_435_761) % n_customers as u64) as i64),
-            )
-            .int_column(
-                "amount",
-                (0..n_orders).map(|i| ((i as u64).wrapping_mul(48_271) % 10_000) as i64),
-            )
-            .build()
-            .expect("equal columns"),
-    )
-    .expect("fresh catalog");
-    db.register(
-        TableBuilder::new("customers")
-            .int_column("id", 0..n_customers as i64)
-            .str_column(
-                "region",
-                (0..n_customers).map(|i| regions[i % regions.len()]),
-            )
-            .build()
-            .expect("equal columns"),
-    )
-    .expect("fresh catalog");
+    db.register(orders).expect("fresh catalog");
+    db.register(customers).expect("fresh catalog");
     db.create_index("orders", "amount", IndexKind::FullCss)
         .expect("column");
     db.create_index("customers", "id", IndexKind::FullCss)
@@ -921,7 +952,7 @@ fn parallel(opts: &Options) {
     };
     db.set_exec_options(ExecOptions::default());
     let reference = run_pipeline(&db);
-    let baseline = best_of(&|| {
+    let baseline = best_of_3(&|| {
         std::hint::black_box(run_pipeline(&db));
     });
     println!(
@@ -948,7 +979,7 @@ fn parallel(opts: &Options) {
             reference,
             "parallel pipeline must be byte-identical"
         );
-        let t = best_of(&|| {
+        let t = best_of_3(&|| {
             std::hint::black_box(run_pipeline(&db));
         });
         println!(
@@ -978,35 +1009,13 @@ fn parallel(opts: &Options) {
 /// nodes — on one node the point is capacity, not speed).
 fn sharded(opts: &Options) {
     use ccindex_shard::{RangePartitioner, ShardedDatabase};
-    use mmdb::{between, eq, on, sum, Database, IndexKind, ResultRows, TableBuilder};
+    use mmdb::{between, eq, on, sum, Database, IndexKind, ResultRows};
 
     let n_orders = opts.scaled(1_000_000);
-    let n_customers = (n_orders / 20).max(100);
-    let regions = ["north", "south", "east", "west"];
-    let orders = || {
-        TableBuilder::new("orders")
-            .int_column(
-                "cust",
-                (0..n_orders)
-                    .map(|i| ((i as u64).wrapping_mul(2_654_435_761) % n_customers as u64) as i64),
-            )
-            .int_column(
-                "amount",
-                (0..n_orders).map(|i| ((i as u64).wrapping_mul(48_271) % 10_000) as i64),
-            )
-            .build()
-            .expect("equal columns")
-    };
-    let customers = || {
-        TableBuilder::new("customers")
-            .int_column("id", 0..n_customers as i64)
-            .str_column(
-                "region",
-                (0..n_customers).map(|i| regions[i % regions.len()]),
-            )
-            .build()
-            .expect("equal columns")
-    };
+    let (orders_table, customers_table) = star_tables(n_orders, &REGIONS[..4]);
+    let n_customers = customers_table.rows();
+    let orders = || orders_table.clone();
+    let customers = || customers_table.clone();
 
     // Unsharded baseline.
     let mut base = Database::new();
@@ -1070,17 +1079,7 @@ fn sharded(opts: &Options) {
     let base_run = |q: usize| -> ResultRows { run_pipeline!(base, q) };
     let mut reference: Vec<ResultRows> = Vec::new();
     queries(&mut reference, &base_run);
-    let repeats = 3usize;
-    let best_of = |f: &dyn Fn()| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats {
-            let t0 = Instant::now();
-            f();
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let baseline = best_of(&|| {
+    let baseline = best_of_3(&|| {
         let mut rows = Vec::new();
         queries(&mut rows, &base_run);
         std::hint::black_box(rows);
@@ -1137,7 +1136,7 @@ fn sharded(opts: &Options) {
                 rows, reference,
                 "sharded results must be byte-identical (shards={shards} hash={hash})"
             );
-            let t = best_of(&|| {
+            let t = best_of_3(&|| {
                 let mut rows = Vec::new();
                 queries(&mut rows, &db_run);
                 std::hint::black_box(rows);
@@ -1175,35 +1174,13 @@ fn sharded(opts: &Options) {
 fn distributed(opts: &Options) {
     use ccindex_serve::ShardServer;
     use ccindex_shard::ShardedDatabase;
-    use mmdb::{between, eq, on, sum, Database, IndexKind, ResultRows, TableBuilder};
+    use mmdb::{between, eq, on, sum, Database, IndexKind, ResultRows};
 
     let n_orders = opts.scaled(200_000);
-    let n_customers = (n_orders / 20).max(100);
-    let regions = ["north", "south", "east", "west"];
-    let orders = || {
-        TableBuilder::new("orders")
-            .int_column(
-                "cust",
-                (0..n_orders)
-                    .map(|i| ((i as u64).wrapping_mul(2_654_435_761) % n_customers as u64) as i64),
-            )
-            .int_column(
-                "amount",
-                (0..n_orders).map(|i| ((i as u64).wrapping_mul(48_271) % 10_000) as i64),
-            )
-            .build()
-            .expect("equal columns")
-    };
-    let customers = || {
-        TableBuilder::new("customers")
-            .int_column("id", 0..n_customers as i64)
-            .str_column(
-                "region",
-                (0..n_customers).map(|i| regions[i % regions.len()]),
-            )
-            .build()
-            .expect("equal columns")
-    };
+    let (orders_table, customers_table) = star_tables(n_orders, &REGIONS[..4]);
+    let n_customers = customers_table.rows();
+    let orders = || orders_table.clone();
+    let customers = || customers_table.clone();
     let index_all = |create: &mut dyn FnMut(&str, &str, IndexKind)| {
         create("orders", "cust", IndexKind::Hash);
         create("orders", "cust", IndexKind::FullCss);
@@ -1249,17 +1226,6 @@ fn distributed(opts: &Options) {
         };
     }
 
-    let repeats = 3usize;
-    let best_of = |f: &dyn Fn()| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats {
-            let t0 = Instant::now();
-            f();
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-
     println!(
         "\n== Distributed scatter-gather (loopback TCP): {} orders x {} customers, point/range/join/group ==",
         format_num(n_orders as f64),
@@ -1302,10 +1268,10 @@ fn distributed(opts: &Options) {
             "distributed results must be byte-identical (shards={shards})"
         );
 
-        let t_local = best_of(&|| {
+        let t_local = best_of_3(&|| {
             std::hint::black_box((0..4).map(local_run).collect::<Vec<_>>());
         });
-        let t_remote = best_of(&|| {
+        let t_remote = best_of_3(&|| {
             std::hint::black_box((0..4).map(remote_run).collect::<Vec<_>>());
         });
         let factor = t_remote / t_local;
@@ -1388,7 +1354,7 @@ fn ablations(opts: &Options) {
     let seq = css.lower_bound_batch_sequential(stream.probes());
     let t_seq = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
-    let inter = css.lower_bound_batch_interleaved::<8>(stream.probes());
+    let inter = css.lower_bound_batch_lanes(stream.probes(), 8);
     let t_inter = t1.elapsed().as_secs_f64();
     assert_eq!(seq, inter);
     println!(
@@ -1834,7 +1800,7 @@ fn slo(opts: &Options) {
     use ccindex_obs::{format_ns, Registry, Span};
     use ccindex_serve::{BatchServer, Request, ServeOptions, ServeStats, ShardServer};
     use ccindex_shard::RemoteShard;
-    use mmdb::{eq, Database, IndexKind, QuerySpec, TableBuilder};
+    use mmdb::{eq, Database, IndexKind, QuerySpec};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -1842,17 +1808,8 @@ fn slo(opts: &Options) {
     let per_client = (opts.lookups / 50).clamp(64, 2_000);
     let clients = 16usize;
     let batch_max = 8usize;
-    let orders = || {
-        TableBuilder::new("orders")
-            .int_column(
-                "amount",
-                (0..n).map(|i| ((i as u64).wrapping_mul(48_271) % (n as u64 / 2)) as i64),
-            )
-            .build()
-            .expect("equal columns")
-    };
     let mut db = Database::new();
-    db.register(orders()).expect("fresh catalog");
+    db.register(amount_orders(n)).expect("fresh catalog");
     db.create_index("orders", "amount", IndexKind::FullCss)
         .expect("column");
 
@@ -1967,7 +1924,7 @@ fn slo(opts: &Options) {
     // the client's span id, the response frame carries the server's
     // decode/execute breakdown, and the client renders one tree.
     let mut server_db = Database::new();
-    server_db.register(orders()).expect("fresh catalog");
+    server_db.register(amount_orders(n)).expect("fresh catalog");
     server_db
         .create_index("orders", "amount", IndexKind::FullCss)
         .expect("column");
@@ -2149,4 +2106,65 @@ fn coldstart(opts: &Options) {
             .timed(n as f64, transfer_secs),
     ];
     flush_bench("coldstart", &records);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(Options, Vec<&'static str>), String> {
+        let (opts, selected) = parse_args(args.iter().map(|a| a.to_string()))?;
+        Ok((opts, selected.iter().map(|&i| FIGURES[i].0[0]).collect()))
+    }
+
+    #[test]
+    fn selects_figures_and_options() {
+        // Run order, once per entry, whatever the command-line order.
+        let (opts, names) = parse(&["parallel", "fig11", "batched", "fig10"]).unwrap();
+        assert_eq!(names, ["fig10", "batched", "parallel"]);
+        assert_eq!(
+            (opts.paper_scale, opts.lookups, opts.simulate),
+            (false, 100_000, None)
+        );
+        for all in [&[][..], &["all"], &["fig1", "all"]] {
+            assert_eq!(parse(all).unwrap().1.len(), FIGURES.len(), "{all:?}");
+        }
+        let args = [
+            "--scale",
+            "paper",
+            "--lookups",
+            "20000",
+            "--simulate",
+            "pentium2",
+            "fig5",
+        ];
+        let (opts, names) = parse(&args).unwrap();
+        assert!(opts.paper_scale);
+        assert_eq!(opts.lookups, 20_000);
+        assert_eq!(opts.simulate.as_deref(), Some("pentium2"));
+        assert_eq!(names, ["fig5"]);
+        assert!(!parse(&["--scale", "small"]).unwrap().0.paper_scale);
+    }
+
+    #[test]
+    fn rejects_unknown_input_and_lists_valid_values() {
+        let err = parse(&["batched", "fig99"]).unwrap_err();
+        assert!(err.contains("`fig99`"), "{err}");
+        assert!(err.contains("coldstart") && err.contains("all"), "{err}");
+        let err = parse(&["--scale", "huge"]).unwrap_err();
+        assert!(
+            err.contains("`huge`") && err.contains("small paper"),
+            "{err}"
+        );
+        let err = parse(&["--simulate", "cray"]).unwrap_err();
+        assert!(
+            err.contains("`cray`") && err.contains("ultrasparc"),
+            "{err}"
+        );
+        assert!(parse(&["--verbose"]).unwrap_err().contains("`--verbose`"));
+        assert!(parse(&["--lookups", "many"])
+            .unwrap_err()
+            .contains("`many`"));
+        assert!(parse(&["--scale"]).unwrap_err().contains("needs a value"));
+    }
 }

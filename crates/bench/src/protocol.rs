@@ -8,14 +8,14 @@
 //!
 //! Beyond the paper, every protocol also runs in a *batched* mode
 //! ([`ProbeMode::Batched`]) that hands the index whole probe blocks via
-//! `search_batch`, so the sequential-vs-interleaved trade-off of the
+//! `search_batch_lanes`, so the sequential-vs-interleaved trade-off of the
 //! batch-aware structures is measurable for every method under the same
 //! probe stream — [`compare_sequential_vs_batched`] emits the paired
 //! measurements.
 
 use crate::methods::MethodInstance;
 use cachesim::{Machine, SimTracer};
-use ccindex_common::SearchIndex;
+use ccindex_common::{SearchIndex, DEFAULT_BATCH_LANES};
 use std::time::Instant;
 
 /// How the lookup protocol hands probes to the index.
@@ -23,10 +23,11 @@ use std::time::Instant;
 pub enum ProbeMode {
     /// One `search` call per probe — the paper's original protocol.
     Sequential,
-    /// `search_batch` calls over blocks of the given size; batch-aware
-    /// indexes answer each block with an interleaved multi-lane descent.
+    /// `search_batch_lanes` calls (at [`DEFAULT_BATCH_LANES`]) over
+    /// blocks of the given size; batch-aware indexes answer each block
+    /// with an interleaved multi-lane descent.
     Batched {
-        /// Probes per `search_batch` call.
+        /// Probes per `search_batch_lanes` call.
         block: usize,
     },
 }
@@ -78,7 +79,8 @@ pub fn run_lookup_protocol_with(
             ProbeMode::Batched { block } => {
                 assert!(block >= 1, "batch block must be non-empty");
                 for chunk in probes.chunks(block) {
-                    found += index.search_batch(chunk).iter().flatten().count();
+                    let hits = index.search_batch_lanes(chunk, DEFAULT_BATCH_LANES);
+                    found += hits.iter().flatten().count();
                 }
             }
         }

@@ -13,11 +13,11 @@
 use crate::key::Key;
 use crate::tracer::AccessTracer;
 
-/// Default number of interleaved probe lanes used by batch-aware indexes
-/// when a caller reaches them through the trait-object batch methods
-/// (which cannot carry a lane count). Eight in-flight probes is enough to
-/// cover a random-access miss on current memory subsystems without
-/// spilling the per-lane state out of registers.
+/// Default number of interleaved probe lanes: what callers without a
+/// tuning knob pass to the batch methods, and what the traced batch
+/// methods (which carry no lane count) use. Eight in-flight probes is
+/// enough to cover a random-access miss on current memory subsystems
+/// without spilling the per-lane state out of registers.
 pub const DEFAULT_BATCH_LANES: usize = 8;
 
 /// Space occupied by an index structure, following Fig. 7's two columns.
@@ -92,31 +92,20 @@ pub trait SearchIndex<K: Key>: Send + Sync {
     /// nested-loop join performs "a lot of searching through indexes on
     /// the inner relations" (§2.2) — so the batch, not the single probe,
     /// is the unit the database layer hands to an index. The default is
-    /// the sequential per-probe loop; cache-conscious structures override
-    /// it with a software-pipelined descent that keeps several
-    /// independent probes' node fetches in flight at once (the batching
-    /// counterpart of the paper's cache-line node sizing).
-    fn search_batch(&self, probes: &[K]) -> Vec<Option<usize>> {
+    /// the sequential per-probe loop and ignores `lanes`; cache-conscious
+    /// structures override it with a descent keeping up to `lanes`
+    /// probes' node fetches in flight at once. Callers without a tuning
+    /// knob pass [`DEFAULT_BATCH_LANES`]. Degenerate lane counts (`0`, or
+    /// more lanes than probes) must behave like the sequential descent.
+    fn search_batch_lanes(&self, probes: &[K], lanes: usize) -> Vec<Option<usize>> {
+        let _ = lanes;
         probes.iter().map(|&p| self.search(p)).collect()
     }
 
-    /// As [`SearchIndex::search_batch`] with an explicit interleave lane
-    /// count. Structures that are not batch-aware ignore `lanes` (the
-    /// default just forwards to [`SearchIndex::search_batch`]); the CSS
-    /// trees override it so callers holding only a trait object — e.g.
-    /// the database executor honouring its `ExecOptions { lanes, .. }`
-    /// knob — can still tune the interleaved descent. Degenerate lane
-    /// counts (`0`, or more lanes than probes) must behave like the
-    /// sequential descent, never panic.
-    fn search_batch_lanes(&self, probes: &[K], lanes: usize) -> Vec<Option<usize>> {
-        let _ = lanes;
-        self.search_batch(probes)
-    }
-
-    /// As [`SearchIndex::search_batch`], reporting every memory access to
-    /// `tracer` so the cache simulator can replay the batched access
-    /// pattern (which differs from the sequential one precisely when an
-    /// override interleaves probes).
+    /// As [`SearchIndex::search_batch_lanes`] at the default lane count,
+    /// reporting every memory access to `tracer` so the cache simulator
+    /// can replay the batched access pattern (which differs from the
+    /// sequential one precisely when an override interleaves probes).
     fn search_batch_traced(
         &self,
         probes: &[K],
@@ -148,24 +137,18 @@ pub trait OrderedIndex<K: Key>: SearchIndex<K> {
     fn lower_bound_traced(&self, key: K, tracer: &mut dyn AccessTracer) -> usize;
 
     /// Lower bounds for a whole batch; `out[i]` is
-    /// `lower_bound(probes[i])`. Sequential by default; batch-aware
-    /// structures override it with an interleaved multi-lane descent (see
-    /// [`SearchIndex::search_batch`] for the rationale).
-    fn lower_bound_batch(&self, probes: &[K]) -> Vec<usize> {
+    /// `lower_bound(probes[i])`. Sequential by default (ignoring
+    /// `lanes`); batch-aware structures override it with an interleaved
+    /// multi-lane descent. See [`SearchIndex::search_batch_lanes`] for
+    /// the rationale and the lane-count contract.
+    fn lower_bound_batch_lanes(&self, probes: &[K], lanes: usize) -> Vec<usize> {
+        let _ = lanes;
         probes.iter().map(|&p| self.lower_bound(p)).collect()
     }
 
-    /// As [`OrderedIndex::lower_bound_batch`] with an explicit interleave
-    /// lane count; see [`SearchIndex::search_batch_lanes`] for the
-    /// contract (default ignores `lanes`, batch-aware structures
-    /// override, degenerate lane counts fall back to sequential descent).
-    fn lower_bound_batch_lanes(&self, probes: &[K], lanes: usize) -> Vec<usize> {
-        let _ = lanes;
-        self.lower_bound_batch(probes)
-    }
-
-    /// As [`OrderedIndex::lower_bound_batch`], with access tracing for
-    /// cache-simulator replay of the batched pattern.
+    /// As [`OrderedIndex::lower_bound_batch_lanes`] at the default lane
+    /// count, with access tracing for cache-simulator replay of the
+    /// batched pattern.
     fn lower_bound_batch_traced(&self, probes: &[K], tracer: &mut dyn AccessTracer) -> Vec<usize> {
         probes
             .iter()
@@ -287,11 +270,8 @@ mod tests {
         let probes = [0u32, 1, 2, 3, 9, 10];
         let expect_search: Vec<_> = probes.iter().map(|&p| idx.search(p)).collect();
         let expect_lb: Vec<_> = probes.iter().map(|&p| idx.lower_bound(p)).collect();
-        assert_eq!(idx.search_batch(&probes), expect_search);
-        assert_eq!(idx.lower_bound_batch(&probes), expect_lb);
-        // The lane-carrying defaults ignore the lane count entirely —
-        // including the degenerate values batch-aware overrides must
-        // also accept.
+        // The defaults ignore the lane count entirely — including the
+        // degenerate values batch-aware overrides must also accept.
         for lanes in [0usize, 1, 8, 1000] {
             assert_eq!(idx.search_batch_lanes(&probes, lanes), expect_search);
             assert_eq!(idx.lower_bound_batch_lanes(&probes, lanes), expect_lb);
@@ -299,8 +279,10 @@ mod tests {
         let mut t = NoopTracer;
         assert_eq!(idx.search_batch_traced(&probes, &mut t), expect_search);
         assert_eq!(idx.lower_bound_batch_traced(&probes, &mut t), expect_lb);
-        assert!(idx.search_batch(&[]).is_empty());
-        assert!(idx.lower_bound_batch(&[]).is_empty());
+        assert!(idx.search_batch_lanes(&[], DEFAULT_BATCH_LANES).is_empty());
+        assert!(idx
+            .lower_bound_batch_lanes(&[], DEFAULT_BATCH_LANES)
+            .is_empty());
     }
 
     #[test]

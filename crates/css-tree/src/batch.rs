@@ -152,24 +152,12 @@ macro_rules! impl_css_batch {
                     .collect()
             }
 
-            /// Level-synchronous batch with a compile-time lane count.
-            ///
-            /// Produces exactly the same positions as
-            /// [`Self::lower_bound_batch_sequential`].
-            pub fn lower_bound_batch_interleaved<const S: usize>(
-                &self,
-                probes: &[K],
-            ) -> Vec<usize> {
-                self.lower_bound_batch_lanes(probes, S)
-            }
-
-            /// Level-synchronous batch with a runtime lane count.
-            pub fn lower_bound_batch_lanes(&self, probes: &[K], lanes: usize) -> Vec<usize> {
-                self.lower_bound_batch_lanes_with(probes, lanes, &mut NoopTracer)
-            }
-
-            /// As [`Self::lower_bound_batch_lanes`], reporting the batched
-            /// access pattern to `tracer`.
+            /// Level-synchronous batch with a runtime lane count,
+            /// reporting the batched access pattern to `tracer`. Produces
+            /// exactly the same positions as
+            /// [`Self::lower_bound_batch_sequential`]; the
+            /// `OrderedIndex::lower_bound_batch_lanes` override is this
+            /// with a no-op tracer.
             pub fn lower_bound_batch_lanes_with<T: AccessTracer>(
                 &self,
                 probes: &[K],
@@ -196,39 +184,6 @@ macro_rules! impl_css_batch {
             ) -> Vec<Option<usize>> {
                 let lbs = self.lower_bound_batch_lanes_with(probes, lanes, tracer);
                 confirm_matches(self.array(), probes, lbs, tracer)
-            }
-
-            /// Partitioned batched lower bounds: `probes` is split into
-            /// one contiguous chunk per worker and every chunk runs the
-            /// interleaved descent at `lanes` concurrently
-            /// ([`ccindex_parallel::WorkerPool`]; `threads == 0` means
-            /// one worker per core, `threads == 1` is the inline
-            /// sequential fallback). Chunk results are concatenated in
-            /// probe order, so the output is byte-identical to
-            /// [`Self::lower_bound_batch_lanes`].
-            pub fn lower_bound_batch_par(
-                &self,
-                probes: &[K],
-                lanes: usize,
-                threads: usize,
-            ) -> Vec<usize> {
-                ccindex_parallel::WorkerPool::new(threads)
-                    .flat_map_chunks(probes, |chunk| self.lower_bound_batch_lanes(chunk, lanes))
-            }
-
-            /// Partitioned batched point lookups — the
-            /// [`Self::lower_bound_batch_par`] strategy applied to
-            /// [`Self::search_batch_lanes_with`]'s descent + equality
-            /// check.
-            pub fn search_batch_par(
-                &self,
-                probes: &[K],
-                lanes: usize,
-                threads: usize,
-            ) -> Vec<Option<usize>> {
-                ccindex_parallel::WorkerPool::new(threads).flat_map_chunks(probes, |chunk| {
-                    self.search_batch_lanes_with(chunk, lanes, &mut NoopTracer)
-                })
             }
         }
     };
@@ -283,7 +238,7 @@ impl<K: Key, const M: usize> FullCssTree<K, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccindex_common::{CountingTracer, OrderedIndex, SearchIndex};
+    use ccindex_common::{CountingTracer, OrderedIndex, SearchIndex, DEFAULT_BATCH_LANES};
 
     fn tree(n: u32) -> FullCssTree<u32, 8> {
         let keys: Vec<u32> = (0..n).map(|i| i * 3 + 1).collect();
@@ -295,11 +250,7 @@ mod tests {
         let t = tree(10_000);
         let probes: Vec<u32> = (0..4_000u32).map(|i| i * 7 % 31_000).collect();
         let seq = t.lower_bound_batch_sequential(&probes);
-        assert_eq!(t.lower_bound_batch_interleaved::<4>(&probes), seq);
-        assert_eq!(t.lower_bound_batch_interleaved::<8>(&probes), seq);
-        assert_eq!(t.lower_bound_batch_interleaved::<16>(&probes), seq);
-        assert_eq!(t.lower_bound_batch_interleaved::<1>(&probes), seq);
-        for lanes in [1usize, 2, 3, 5, 13, 64, 5_000] {
+        for lanes in [1usize, 2, 3, 4, 5, 8, 13, 16, 64, 5_000] {
             assert_eq!(
                 t.lower_bound_batch_lanes(&probes, lanes),
                 seq,
@@ -314,8 +265,7 @@ mod tests {
         let t = LevelCssTree::<u32, 16>::build(&keys);
         let probes: Vec<u32> = (0..3_000u32).map(|i| i * 11 % 19_000).collect();
         let seq = t.lower_bound_batch_sequential(&probes);
-        assert_eq!(t.lower_bound_batch_interleaved::<8>(&probes), seq);
-        for lanes in [1usize, 2, 7, 32] {
+        for lanes in [1usize, 2, 7, 8, 32] {
             assert_eq!(
                 t.lower_bound_batch_lanes(&probes, lanes),
                 seq,
@@ -327,15 +277,15 @@ mod tests {
     #[test]
     fn interleaved_handles_ragged_tail_and_empty() {
         let t = tree(1_000);
-        let probes: Vec<u32> = (0..13u32).collect(); // not a multiple of S
+        let probes: Vec<u32> = (0..13u32).collect(); // not a multiple of 8
         assert_eq!(
-            t.lower_bound_batch_interleaved::<8>(&probes),
+            t.lower_bound_batch_lanes(&probes, 8),
             t.lower_bound_batch_sequential(&probes)
         );
-        assert!(t.lower_bound_batch_interleaved::<8>(&[]).is_empty());
+        assert!(t.lower_bound_batch_lanes(&[], 8).is_empty());
         let empty = FullCssTree::<u32, 8>::build(&[]);
-        assert_eq!(empty.lower_bound_batch_interleaved::<4>(&[5]), vec![0]);
-        assert_eq!(empty.search_batch(&[5]), vec![None]);
+        assert_eq!(empty.lower_bound_batch_lanes(&[5], 4), vec![0]);
+        assert_eq!(empty.search_batch_lanes(&[5], 8), vec![None]);
     }
 
     #[test]
@@ -356,25 +306,23 @@ mod tests {
 
     #[test]
     fn parallel_batches_are_byte_identical_to_sequential() {
+        // Callers partition a probe batch into contiguous chunks, one per
+        // worker, and concatenate the chunk answers in order; that is
+        // sound only if a chunk's answers do not depend on its
+        // neighbours.
         let t = tree(20_000);
         let probes: Vec<u32> = (0..4_003u32).map(|i| i * 17 % 61_000).collect();
         let seq_lb = t.lower_bound_batch_sequential(&probes);
         let seq_pt: Vec<Option<usize>> = probes.iter().map(|&p| t.search(p)).collect();
-        for threads in [0usize, 1, 2, 8] {
-            assert_eq!(
-                t.lower_bound_batch_par(&probes, 8, threads),
-                seq_lb,
-                "threads={threads}"
-            );
-            assert_eq!(
-                t.search_batch_par(&probes, 8, threads),
-                seq_pt,
-                "threads={threads}"
-            );
+        for chunk in [1usize, 7, 501, 2_002, 4_003] {
+            let chunks = || probes.chunks(chunk);
+            let lb: Vec<usize> = chunks()
+                .flat_map(|c| t.lower_bound_batch_lanes(c, 8))
+                .collect();
+            let pt: Vec<_> = chunks().flat_map(|c| t.search_batch_lanes(c, 8)).collect();
+            assert_eq!(lb, seq_lb, "chunk={chunk}");
+            assert_eq!(pt, seq_pt, "chunk={chunk}");
         }
-        // Degenerate inputs through the parallel path.
-        assert!(t.lower_bound_batch_par(&[], 8, 8).is_empty());
-        assert_eq!(t.search_batch_par(&probes[..1], 0, 8), seq_pt[..1]);
     }
 
     #[test]
@@ -384,11 +332,11 @@ mod tests {
         // Trait-object calls must agree with the sequential defaults.
         let idx: &dyn OrderedIndex<u32> = &t;
         assert_eq!(
-            idx.lower_bound_batch(&probes),
+            idx.lower_bound_batch_lanes(&probes, DEFAULT_BATCH_LANES),
             t.lower_bound_batch_sequential(&probes)
         );
         let expect: Vec<Option<usize>> = probes.iter().map(|&p| t.search(p)).collect();
-        assert_eq!(idx.search_batch(&probes), expect);
+        assert_eq!(idx.search_batch_lanes(&probes, DEFAULT_BATCH_LANES), expect);
     }
 
     #[test]

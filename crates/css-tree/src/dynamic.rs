@@ -99,13 +99,8 @@ macro_rules! dyn_css {
             /// Batched lower bounds with a runtime-tunable lane count —
             /// the interleaved descent of [`crate::batch`] with `lanes`
             /// probes in flight per round, on whichever monomorphised
-            /// tree this enum wraps.
-            pub fn lower_bound_batch_lanes(&self, probes: &[K], lanes: usize) -> Vec<usize> {
-                self.lower_bound_batch_lanes_with(probes, lanes, &mut NoopTracer)
-            }
-
-            /// As [`DynCssTree::lower_bound_batch_lanes`], with access
-            /// tracing for cache-simulator replay.
+            /// tree this enum wraps — with access tracing for
+            /// cache-simulator replay.
             pub fn lower_bound_batch_lanes_with<T: AccessTracer>(
                 &self,
                 probes: &[K],
@@ -136,43 +131,6 @@ macro_rules! dyn_css {
                     Self::Generic(t) => t.search_batch_lanes_with(probes, lanes, tracer),
                 }
             }
-
-            /// Partitioned batched lower bounds on whichever
-            /// monomorphised tree this enum wraps: probes chunked across
-            /// `threads` workers (`0` = one per core), each chunk running
-            /// the interleaved descent at `lanes`; byte-identical to
-            /// [`DynCssTree::lower_bound_batch_lanes`].
-            pub fn lower_bound_batch_par(
-                &self,
-                probes: &[K],
-                lanes: usize,
-                threads: usize,
-            ) -> Vec<usize> {
-                match self {
-                    $(
-                        Self::$variant_full(t) => t.lower_bound_batch_par(probes, lanes, threads),
-                        Self::$variant_level(t) => t.lower_bound_batch_par(probes, lanes, threads),
-                    )+
-                    Self::Generic(t) => t.lower_bound_batch_par(probes, lanes, threads),
-                }
-            }
-
-            /// Partitioned batched point lookups; see
-            /// [`DynCssTree::lower_bound_batch_par`].
-            pub fn search_batch_par(
-                &self,
-                probes: &[K],
-                lanes: usize,
-                threads: usize,
-            ) -> Vec<Option<usize>> {
-                match self {
-                    $(
-                        Self::$variant_full(t) => t.search_batch_par(probes, lanes, threads),
-                        Self::$variant_level(t) => t.search_batch_par(probes, lanes, threads),
-                    )+
-                    Self::Generic(t) => t.search_batch_par(probes, lanes, threads),
-                }
-            }
         }
 
         impl<K: Key> SearchIndex<K> for DynCssTree<K> {
@@ -199,9 +157,6 @@ macro_rules! dyn_css {
             }
             fn search_traced(&self, key: K, tracer: &mut dyn AccessTracer) -> Option<usize> {
                 self.search_with(key, &mut { tracer })
-            }
-            fn search_batch(&self, probes: &[K]) -> Vec<Option<usize>> {
-                self.search_batch_lanes_with(probes, ccindex_common::DEFAULT_BATCH_LANES, &mut NoopTracer)
             }
             fn search_batch_lanes(&self, probes: &[K], lanes: usize) -> Vec<Option<usize>> {
                 self.search_batch_lanes_with(probes, lanes, &mut NoopTracer)
@@ -239,9 +194,6 @@ macro_rules! dyn_css {
             }
             fn lower_bound_traced(&self, key: K, tracer: &mut dyn AccessTracer) -> usize {
                 self.lower_bound_with(key, &mut { tracer })
-            }
-            fn lower_bound_batch(&self, probes: &[K]) -> Vec<usize> {
-                self.lower_bound_batch_lanes(probes, ccindex_common::DEFAULT_BATCH_LANES)
             }
             fn lower_bound_batch_lanes(&self, probes: &[K], lanes: usize) -> Vec<usize> {
                 self.lower_bound_batch_lanes_with(probes, lanes, &mut NoopTracer)
@@ -344,24 +296,15 @@ mod tests {
                     "{variant:?} m={m} lanes={lanes}"
                 );
             }
-            for threads in [0usize, 1, 2, 8] {
+            // Batched point lookups route through the same descent.
+            let point: Vec<Option<usize>> = probes.iter().map(|&p| t.search(p)).collect();
+            for lanes in [0usize, 1, 8, 10_000] {
                 assert_eq!(
-                    t.lower_bound_batch_par(&probes, 8, threads),
-                    expected,
-                    "{variant:?} m={m} threads={threads}"
-                );
-                let point: Vec<Option<usize>> = probes.iter().map(|&p| t.search(p)).collect();
-                assert_eq!(
-                    t.search_batch_par(&probes, 8, threads),
+                    t.search_batch_lanes(&probes, lanes),
                     point,
-                    "{variant:?} m={m} threads={threads}"
+                    "{variant:?} m={m} lanes={lanes}"
                 );
             }
-            // The trait-level batch entry points route through the
-            // interleaved descent and must agree too.
-            assert_eq!(t.lower_bound_batch(&probes), expected, "{variant:?} m={m}");
-            let point: Vec<Option<usize>> = probes.iter().map(|&p| t.search(p)).collect();
-            assert_eq!(t.search_batch(&probes), point, "{variant:?} m={m}");
         }
     }
 

@@ -213,9 +213,6 @@ impl<K: Key, const M: usize> SearchIndex<K> for FullCssTree<K, M> {
     fn search_traced(&self, key: K, tracer: &mut dyn AccessTracer) -> Option<usize> {
         self.search_with(key, &mut { tracer })
     }
-    fn search_batch(&self, probes: &[K]) -> Vec<Option<usize>> {
-        self.search_batch_lanes_with(probes, DEFAULT_BATCH_LANES, &mut NoopTracer)
-    }
     fn search_batch_lanes(&self, probes: &[K], lanes: usize) -> Vec<Option<usize>> {
         self.search_batch_lanes_with(probes, lanes, &mut NoopTracer)
     }
@@ -245,9 +242,6 @@ impl<K: Key, const M: usize> OrderedIndex<K> for FullCssTree<K, M> {
     }
     fn lower_bound_traced(&self, key: K, tracer: &mut dyn AccessTracer) -> usize {
         self.lower_bound_with(key, &mut { tracer })
-    }
-    fn lower_bound_batch(&self, probes: &[K]) -> Vec<usize> {
-        self.lower_bound_batch_lanes(probes, DEFAULT_BATCH_LANES)
     }
     fn lower_bound_batch_lanes(&self, probes: &[K], lanes: usize) -> Vec<usize> {
         self.lower_bound_batch_lanes_with(probes, lanes, &mut NoopTracer)

@@ -139,12 +139,8 @@ impl<K: Key> GenericFullCss<K> {
             .collect()
     }
 
-    /// Level-synchronous batch with a runtime lane count.
-    pub fn lower_bound_batch_lanes(&self, probes: &[K], lanes: usize) -> Vec<usize> {
-        self.lower_bound_batch_lanes_with(probes, lanes, &mut NoopTracer)
-    }
-
-    /// As [`Self::lower_bound_batch_lanes`], with access tracing.
+    /// Level-synchronous batch with a runtime lane count, with access
+    /// tracing.
     pub fn lower_bound_batch_lanes_with<T: AccessTracer>(
         &self,
         probes: &[K],
@@ -172,28 +168,6 @@ impl<K: Key> GenericFullCss<K> {
         batch::confirm_matches(&self.array, probes, lbs, tracer)
     }
 
-    /// Partitioned batched lower bounds: chunk `probes` across `threads`
-    /// workers, each chunk running the interleaved descent at `lanes`
-    /// (`threads == 0` = one per core; results are byte-identical to
-    /// [`Self::lower_bound_batch_lanes`]).
-    pub fn lower_bound_batch_par(&self, probes: &[K], lanes: usize, threads: usize) -> Vec<usize> {
-        ccindex_parallel::WorkerPool::new(threads)
-            .flat_map_chunks(probes, |chunk| self.lower_bound_batch_lanes(chunk, lanes))
-    }
-
-    /// Partitioned batched point lookups; see
-    /// [`Self::lower_bound_batch_par`].
-    pub fn search_batch_par(
-        &self,
-        probes: &[K],
-        lanes: usize,
-        threads: usize,
-    ) -> Vec<Option<usize>> {
-        ccindex_parallel::WorkerPool::new(threads).flat_map_chunks(probes, |chunk| {
-            self.search_batch_lanes_with(chunk, lanes, &mut NoopTracer)
-        })
-    }
-
     /// Leftmost matching position, traced.
     pub fn search_with<T: AccessTracer>(&self, probe: K, tracer: &mut T) -> Option<usize> {
         let pos = self.lower_bound_with(probe, tracer);
@@ -219,9 +193,6 @@ impl<K: Key> SearchIndex<K> for GenericFullCss<K> {
     }
     fn search_traced(&self, key: K, tracer: &mut dyn AccessTracer) -> Option<usize> {
         self.search_with(key, &mut { tracer })
-    }
-    fn search_batch(&self, probes: &[K]) -> Vec<Option<usize>> {
-        self.search_batch_lanes_with(probes, DEFAULT_BATCH_LANES, &mut NoopTracer)
     }
     fn search_batch_lanes(&self, probes: &[K], lanes: usize) -> Vec<Option<usize>> {
         self.search_batch_lanes_with(probes, lanes, &mut NoopTracer)
@@ -252,9 +223,6 @@ impl<K: Key> OrderedIndex<K> for GenericFullCss<K> {
     }
     fn lower_bound_traced(&self, key: K, tracer: &mut dyn AccessTracer) -> usize {
         self.lower_bound_with(key, &mut { tracer })
-    }
-    fn lower_bound_batch(&self, probes: &[K]) -> Vec<usize> {
-        self.lower_bound_batch_lanes(probes, DEFAULT_BATCH_LANES)
     }
     fn lower_bound_batch_lanes(&self, probes: &[K], lanes: usize) -> Vec<usize> {
         self.lower_bound_batch_lanes_with(probes, lanes, &mut NoopTracer)

@@ -8,8 +8,12 @@
 
 use crate::column::Column;
 use crate::domain::Value;
+use crate::plan::Side;
+use crate::query::JoinRow;
 use crate::rid::RidList;
+use ccindex_parallel::{partition, WorkerPool};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Supported aggregate functions over an `Int` measure column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,105 +51,103 @@ pub struct GroupRow {
     pub value: i64,
 }
 
-/// Grouped aggregation over arbitrary `(group_rid, measure_rid)` pairs —
-/// the operator a query plan runs when grouping *filtered* selections or
+/// Where a pair-grouping pass reads its `(group_rid, measure_rid)` pairs
+/// from — the three row shapes a query plan groups.
+#[derive(Debug, Clone, Copy)]
+pub enum PairSource<'a> {
+    /// Every row `0..n` of one table, each RID paired with itself.
+    All(u32),
+    /// Selected RIDs of one table, each paired with itself.
+    Rids(&'a [u32]),
+    /// Join output: the group RID comes from side `group` of each row,
+    /// the measure RID from side `measure` (the two columns may live in
+    /// different relations).
+    Joined {
+        /// The join rows.
+        rows: &'a [JoinRow],
+        /// The side the group column belongs to.
+        group: Side,
+        /// The side the measure column belongs to.
+        measure: Side,
+    },
+}
+
+impl PairSource<'_> {
+    /// Number of pairs.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            PairSource::All(n) => *n as usize,
+            PairSource::Rids(rids) => rids.len(),
+            PairSource::Joined { rows, .. } => rows.len(),
+        }
+    }
+
+    /// Fold the pairs at positions `range` into a per-group accumulator.
+    /// One arm per row shape, so each accumulation loop is monomorphised
+    /// over a plain iterator.
+    fn fold(
+        &self,
+        range: Range<usize>,
+        group_col: &Column,
+        measure: Option<&Column>,
+        agg: AggFn,
+    ) -> BTreeMap<u32, i64> {
+        match *self {
+            PairSource::All(_) => {
+                let rids = range.start as u32..range.end as u32;
+                accumulate_pairs(group_col, measure, rids.map(|r| (r, r)), agg)
+            }
+            PairSource::Rids(rids) => {
+                accumulate_pairs(group_col, measure, rids[range].iter().map(|&r| (r, r)), agg)
+            }
+            PairSource::Joined {
+                rows,
+                group,
+                measure: side,
+            } => {
+                let pairs = rows[range].iter().map(|r| (r.rid(group), r.rid(side)));
+                accumulate_pairs(group_col, measure, pairs, agg)
+            }
+        }
+    }
+}
+
+/// Grouped aggregation over `(group_rid, measure_rid)` pairs — the
+/// operator a query plan runs when grouping *filtered* selections or
 /// join output, where rows no longer arrive clustered by group. Groups
 /// accumulate keyed by domain ID (an ordered map, so results still come
 /// out in group-value order, matching [`group_aggregate`]), and the group
 /// keys are decoded in one
 /// [`decode_batch`](crate::domain::Domain::decode_batch) at the end.
+/// `measure` may be `None` for `Count`. Callers must have checked that
+/// the measure column is integer-valued for Sum/Min/Max.
 ///
-/// The two RIDs of a pair may address different relations (group column
-/// from one join side, measure from the other); for plain selections pass
-/// each RID twice. `measure` may be `None` for `Count`. Callers must have
-/// checked that the measure column is integer-valued for Sum/Min/Max.
+/// With more than one worker (`threads == 0` means one per core) the
+/// pairs are partitioned into one contiguous range per worker, each
+/// worker folds its range into a **partial** per-group accumulator, and
+/// the partials are merged at the join barrier. Every [`AggFn`] is
+/// commutative and associative and the map is keyed by domain ID, so the
+/// merged result — including group order — is the same as one worker's.
+/// With one worker the pass runs inline into a single accumulator.
 pub fn group_aggregate_pairs(
     group_col: &Column,
     measure: Option<&Column>,
-    pairs: impl IntoIterator<Item = (u32, u32)>,
+    source: PairSource<'_>,
     agg: AggFn,
+    threads: usize,
 ) -> Vec<GroupRow> {
     if agg != AggFn::Count {
         measure.expect("aggregate other than Count needs a measure column");
     }
-    let mut acc = BTreeMap::new();
-    accumulate_pairs(&mut acc, group_col, measure, pairs, agg);
+    let fold = |range: Range<usize>| source.fold(range, group_col, measure, agg);
+    let pool = WorkerPool::new(threads);
+    let acc = if pool.threads() == 1 {
+        fold(0..source.len())
+    } else {
+        let ranges = partition(source.len(), pool.threads());
+        merge_partials(agg, pool.run(ranges.len(), |i| fold(ranges[i].clone())))
+    };
     decode_accumulator(group_col, acc)
-}
-
-/// Parallel [`group_aggregate_pairs`]: the pairs are partitioned into one
-/// contiguous chunk per worker, each worker folds its chunk into a
-/// **partial** per-group accumulator, and the partials are merged at the
-/// join barrier (every [`AggFn`] is commutative and associative, and the
-/// ordered accumulator map keys groups by domain ID, so the merged result
-/// — including group order — is byte-identical to the sequential pass).
-/// `threads == 0` means one worker per core; `threads == 1` runs inline.
-pub fn group_aggregate_pairs_par(
-    group_col: &Column,
-    measure: Option<&Column>,
-    pairs: &[(u32, u32)],
-    agg: AggFn,
-    threads: usize,
-) -> Vec<GroupRow> {
-    group_aggregate_chunked_par(group_col, measure, pairs, |&p| p, agg, threads)
-}
-
-/// The general partitioned grouping: any sliceable row source plus a
-/// pair-extraction closure, so the executor can chunk join rows or
-/// selected RIDs **in place** instead of materialising an intermediate
-/// `(group_rid, measure_rid)` vector. [`group_aggregate_pairs_par`] is
-/// the `items = pairs` instance.
-pub fn group_aggregate_chunked_par<T, F>(
-    group_col: &Column,
-    measure: Option<&Column>,
-    items: &[T],
-    to_pair: F,
-    agg: AggFn,
-    threads: usize,
-) -> Vec<GroupRow>
-where
-    T: Sync,
-    F: Fn(&T) -> (u32, u32) + Sync,
-{
-    if agg != AggFn::Count {
-        measure.expect("aggregate other than Count needs a measure column");
-    }
-    let partials = ccindex_parallel::WorkerPool::new(threads).map_chunks(items, |chunk| {
-        let mut acc = BTreeMap::new();
-        accumulate_pairs(
-            &mut acc,
-            group_col,
-            measure,
-            chunk.iter().map(&to_pair),
-            agg,
-        );
-        acc
-    });
-    decode_accumulator(group_col, merge_partials(agg, partials))
-}
-
-/// Partitioned grouping of whole-table row ranges (`(r, r)` pairs for
-/// every RID in `0..rows`) — no slice exists to chunk, so the RID space
-/// itself is partitioned.
-pub fn group_aggregate_rows_par(
-    group_col: &Column,
-    measure: Option<&Column>,
-    rows: u32,
-    agg: AggFn,
-    threads: usize,
-) -> Vec<GroupRow> {
-    if agg != AggFn::Count {
-        measure.expect("aggregate other than Count needs a measure column");
-    }
-    let pool = ccindex_parallel::WorkerPool::new(threads);
-    let ranges = ccindex_parallel::partition(rows as usize, pool.threads());
-    let partials = pool.run(ranges.len(), |i| {
-        let mut acc = BTreeMap::new();
-        let range = ranges[i].start as u32..ranges[i].end as u32;
-        accumulate_pairs(&mut acc, group_col, measure, range.map(|r| (r, r)), agg);
-        acc
-    });
-    decode_accumulator(group_col, merge_partials(agg, partials))
 }
 
 /// Merge per-worker partial accumulators at the join barrier.
@@ -165,14 +167,14 @@ fn merge_partials(
     merged
 }
 
-/// The shared accumulation loop of the sequential and per-worker passes.
+/// The accumulation loop every [`PairSource`] shape runs.
 fn accumulate_pairs(
-    acc: &mut BTreeMap<u32, i64>,
     group_col: &Column,
     measure: Option<&Column>,
     pairs: impl IntoIterator<Item = (u32, u32)>,
     agg: AggFn,
-) {
+) -> BTreeMap<u32, i64> {
+    let mut acc = BTreeMap::new();
     for (group_rid, measure_rid) in pairs {
         let id = group_col.id(group_rid);
         match agg {
@@ -188,6 +190,7 @@ fn accumulate_pairs(
             }
         }
     }
+    acc
 }
 
 /// Decode the accumulator's domain IDs in one batch and emit the rows in
@@ -328,11 +331,11 @@ mod tests {
         let (t, rl) = setup();
         let region = t.column("region").unwrap();
         let amount = t.column("amount").unwrap();
-        let all: Vec<(u32, u32)> = (0..region.len() as u32).map(|r| (r, r)).collect();
+        let rows = region.len() as u32;
         for agg in [AggFn::Count, AggFn::Sum, AggFn::Min, AggFn::Max] {
             let measure = (agg != AggFn::Count).then_some(amount);
             assert_eq!(
-                group_aggregate_pairs(region, measure, all.iter().copied(), agg),
+                group_aggregate_pairs(region, measure, PairSource::All(rows), agg, 1),
                 group_aggregate(region, &rl, measure, agg),
                 "{agg:?}"
             );
@@ -345,8 +348,9 @@ mod tests {
         let region = t.column("region").unwrap();
         let amount = t.column("amount").unwrap();
         // Only rows 0, 2, 4: regions e, e, w with amounts 10, 30, 50.
-        let pairs = [(0u32, 0u32), (2, 2), (4, 4)];
-        let sums = group_aggregate_pairs(region, Some(amount), pairs, AggFn::Sum);
+        let rids = [0u32, 2, 4];
+        let sums =
+            group_aggregate_pairs(region, Some(amount), PairSource::Rids(&rids), AggFn::Sum, 1);
         assert_eq!(
             sums,
             vec![
@@ -362,9 +366,20 @@ mod tests {
         );
         // Measure RID differing from group RID (the join shape): group by
         // row 0's region but measure row 5's amount.
-        let cross = group_aggregate_pairs(region, Some(amount), [(0u32, 5u32)], AggFn::Max);
+        let rows = [JoinRow {
+            outer_rid: 0,
+            inner_rid: 5,
+        }];
+        let cross = PairSource::Joined {
+            rows: &rows,
+            group: Side::Outer,
+            measure: Side::Inner,
+        };
+        let cross = group_aggregate_pairs(region, Some(amount), cross, AggFn::Max, 1);
         assert_eq!(cross[0].value, 60);
-        assert!(group_aggregate_pairs(region, None, [], AggFn::Count).is_empty());
+        assert!(
+            group_aggregate_pairs(region, None, PairSource::Rids(&[]), AggFn::Count, 1).is_empty()
+        );
     }
 
     #[test]
@@ -381,38 +396,55 @@ mod tests {
             .expect("equal-length columns");
         let region = t.column("region").unwrap();
         let amount = t.column("amount").unwrap();
-        let pairs: Vec<(u32, u32)> = (0..n).map(|r| (r, (r + 7) % n)).collect();
+        let rl = RidList::for_column(region);
+        let rows: Vec<JoinRow> = (0..n)
+            .map(|r| JoinRow {
+                outer_rid: r,
+                inner_rid: (r + 7) % n,
+            })
+            .collect();
+        let joined = PairSource::Joined {
+            rows: &rows,
+            group: Side::Outer,
+            measure: Side::Inner,
+        };
+        let all_rids: Vec<u32> = (0..n).collect();
         for agg in [AggFn::Count, AggFn::Sum, AggFn::Min, AggFn::Max] {
             let measure = (agg != AggFn::Count).then_some(amount);
-            let seq = group_aggregate_pairs(region, measure, pairs.iter().copied(), agg);
+            let seq = group_aggregate_pairs(region, measure, joined, agg, 1);
+            // Whole-table sources, in place or as a RID slice, agree with
+            // the sorted-RID-list pass.
+            let whole = group_aggregate(region, &rl, measure, agg);
             for threads in [0usize, 1, 2, 8] {
                 assert_eq!(
-                    group_aggregate_pairs_par(region, measure, &pairs, agg, threads),
+                    group_aggregate_pairs(region, measure, joined, agg, threads),
                     seq,
+                    "{agg:?} threads={threads}"
+                );
+                assert_eq!(
+                    group_aggregate_pairs(region, measure, PairSource::All(n), agg, threads),
+                    whole,
+                    "{agg:?} threads={threads}"
+                );
+                assert_eq!(
+                    group_aggregate_pairs(
+                        region,
+                        measure,
+                        PairSource::Rids(&all_rids),
+                        agg,
+                        threads
+                    ),
+                    whole,
                     "{agg:?} threads={threads}"
                 );
             }
         }
-        assert!(group_aggregate_pairs_par(region, None, &[], AggFn::Count, 8).is_empty());
-        // The in-place chunked and whole-table range variants agree too.
-        let all: Vec<(u32, u32)> = (0..n).map(|r| (r, r)).collect();
-        for agg in [AggFn::Count, AggFn::Sum, AggFn::Min, AggFn::Max] {
-            let measure = (agg != AggFn::Count).then_some(amount);
-            let seq = group_aggregate_pairs(region, measure, all.iter().copied(), agg);
-            for threads in [0usize, 1, 2, 8] {
-                assert_eq!(
-                    group_aggregate_chunked_par(region, measure, &all, |&p| p, agg, threads),
-                    seq,
-                    "{agg:?} threads={threads}"
-                );
-                assert_eq!(
-                    group_aggregate_rows_par(region, measure, n, agg, threads),
-                    seq,
-                    "{agg:?} threads={threads}"
-                );
-            }
-        }
-        assert!(group_aggregate_rows_par(region, None, 0, AggFn::Count, 8).is_empty());
+        assert!(
+            group_aggregate_pairs(region, None, PairSource::Rids(&[]), AggFn::Count, 8).is_empty()
+        );
+        assert!(
+            group_aggregate_pairs(region, None, PairSource::All(0), AggFn::Count, 8).is_empty()
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //!
 //! Updates follow the paper's OLAP cycle (§2.3): mutate a column
 //! wholesale, then [`Database::rebuild_column`] reruns the batch-update
-//! cycle ([`apply_batch_kinds_par`]) for every index registered on it —
+//! cycle ([`apply_batch_kinds`]) for every index registered on it —
 //! the independent per-kind rebuilds fanning out across the worker pool
 //! sized by the catalog's [`ExecOptions`].
 //!
@@ -59,7 +59,7 @@ use crate::plan::{ExecOptions, Query};
 use crate::rid::RidList;
 use crate::snapshot::{CatalogState, DatabaseHandle, Snapshot, SwapSlot};
 use crate::table::Table;
-use crate::update::apply_batch_kinds_par;
+use crate::update::apply_batch_kinds;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -298,7 +298,7 @@ impl Database {
 
     /// Re-derive `table.column`'s RID list from the (possibly mutated)
     /// column and rebuild every index registered on it from scratch via
-    /// the [`apply_batch_kinds_par`] cycle — §2.3: "it may be relatively
+    /// the [`apply_batch_kinds`] cycle — §2.3: "it may be relatively
     /// cheap to rebuild an index from scratch after a batch of updates."
     /// The per-kind rebuilds are independent, so they fan out across the
     /// worker pool sized by the catalog's [`ExecOptions::threads`]
@@ -340,7 +340,7 @@ impl Database {
         // cycle runs with an empty batch: pure from-scratch rebuilds,
         // one pool job per registered kind.
         let kinds: Vec<IndexKind> = col_entry.indexes.keys().copied().collect();
-        let cycle = apply_batch_kinds_par(col_entry.rids.keys(), &[], &[], &kinds, threads);
+        let cycle = apply_batch_kinds(col_entry.rids.keys(), &[], &[], &kinds, threads);
         let mut rebuilds = Vec::with_capacity(kinds.len());
         for (kind, handle, rebuild_time) in cycle.rebuilds {
             col_entry.indexes.insert(kind, Arc::new(handle));

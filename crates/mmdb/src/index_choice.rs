@@ -101,8 +101,8 @@ impl IndexKind {
 
 /// A built index that remembers whether it can serve ordered access —
 /// what a catalog stores per `(column, kind)` so point probes can reach
-/// `search_batch` on any kind while range probes are confined, at the
-/// type level, to ordered kinds.
+/// `search_batch_lanes` on any kind while range probes are confined, at
+/// the type level, to ordered kinds.
 pub enum IndexHandle {
     /// Point lookups only (the hash index, §3.5).
     Point(Box<dyn SearchIndex<u32>>),

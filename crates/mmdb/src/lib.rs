@@ -31,12 +31,12 @@
 //! * [`rid`] — sorted RID lists (the arrays the indexes sit on),
 //! * [`index_choice`] — one constructor per paper method, all behind
 //!   `ccindex_common::OrderedIndex`/`SearchIndex`,
-//! * [`query`] — point select, range select, and indexed nested-loop join
-//!   (each with a `_par` partitioned variant chunking probes/RIDs across
-//!   workers),
+//! * [`query`] — point select, range select, and indexed nested-loop join,
+//!   one batched entry point each that takes an interleave lane count and
+//!   a worker count (probes/RIDs chunked across workers),
 //! * [`aggregate`] — grouped aggregation over sorted RID lists and
-//!   arbitrary row sets (parallel variant: per-worker partial aggregates
-//!   merged at the barrier),
+//!   arbitrary row sets (with more than one worker: per-worker partial
+//!   aggregates merged at the barrier),
 //! * [`update`] — the OLAP batch-update cycle: apply inserts/deletes, then
 //!   rebuild affected indexes from scratch (§2.3: "it may be relatively
 //!   cheap to rebuild an index from scratch after a batch of updates").
@@ -68,23 +68,17 @@ pub use plan::{
 pub use snapshot::{CatalogState, DatabaseHandle, Pinned, Snapshot, SwapSlot};
 
 // The physical layer.
-pub use aggregate::{
-    group_aggregate, group_aggregate_chunked_par, group_aggregate_pairs, group_aggregate_pairs_par,
-    group_aggregate_rows_par, AggFn, GroupRow,
-};
+pub use aggregate::{group_aggregate, group_aggregate_pairs, AggFn, GroupRow, PairSource};
 pub use column::Column;
 pub use domain::{Domain, Value};
 pub use index_choice::{build_index, build_ordered_index, IndexHandle, IndexKind};
 pub use query::{
-    indexed_nested_loop_join, indexed_nested_loop_join_rids, indexed_nested_loop_join_rids_par,
-    point_select, point_select_many, point_select_many_lanes, point_select_many_ordered,
-    point_select_many_ordered_lanes, point_select_many_ordered_par, point_select_many_par,
-    point_select_ordered, range_select, range_select_many, range_select_many_lanes,
-    range_select_many_par, JoinRow, JOIN_PROBE_BLOCK,
+    indexed_nested_loop_join, point_select, point_select_many, range_select, range_select_many,
+    JoinRow, JOIN_PROBE_BLOCK,
 };
 pub use rid::RidList;
 pub use table::{Table, TableBuilder};
 pub use update::{
-    apply_batch, apply_batch_handle, apply_batch_kinds_par, merge_batch, BatchResult,
+    apply_batch, apply_batch_handle, apply_batch_kinds, merge_batch, BatchResult,
     HandleBatchResult, MultiBatchResult,
 };

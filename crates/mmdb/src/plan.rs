@@ -43,18 +43,13 @@
 //! # }
 //! ```
 
-use crate::aggregate::{
-    group_aggregate_chunked_par, group_aggregate_pairs, group_aggregate_rows_par, AggFn, GroupRow,
-};
+use crate::aggregate::{group_aggregate_pairs, AggFn, GroupRow, PairSource};
 use crate::column::Column;
 use crate::domain::Value;
 use crate::engine::Database;
 use crate::error::{MmdbError, Result};
-use crate::index_choice::{IndexHandle, IndexKind};
-use crate::query::{
-    indexed_nested_loop_join_rids_par, point_select_many_ordered_par, point_select_many_par,
-    range_select_many_par, JoinRow,
-};
+use crate::index_choice::IndexKind;
+use crate::query::{indexed_nested_loop_join, point_select_many, range_select_many, JoinRow};
 use crate::snapshot::CatalogState;
 use ccindex_common::DEFAULT_BATCH_LANES;
 
@@ -961,29 +956,16 @@ impl Plan {
             Some(j) => {
                 let outer_col = cat.column(&self.table, &j.outer_column)?;
                 let inner_col = cat.column(&j.inner_table, &j.inner_column)?;
-                let entry = cat.column_entry(&j.inner_table, &j.inner_column)?;
-                let handle =
-                    entry
-                        .indexes
-                        .get(&j.kind)
-                        .ok_or_else(|| MmdbError::IndexNotBuilt {
-                            table: j.inner_table.clone(),
-                            column: j.inner_column.clone(),
-                            kind: j.kind,
-                        })?;
-                let all_rids: Vec<u32>;
-                let outer_rids: &[u32] = match &selected {
-                    Some(rids) => rids,
-                    None => {
-                        all_rids = (0..cat.table(&self.table)?.rows() as u32).collect();
-                        &all_rids
-                    }
-                };
-                Some(indexed_nested_loop_join_rids_par(
+                let inner_rids = cat.rid_list(&j.inner_table, &j.inner_column)?;
+                let handle = cat.index(&j.inner_table, &j.inner_column, j.kind)?;
+                // No filter: every outer row streams through the join.
+                let rows = cat.table(&self.table)?.rows() as u32;
+                let outer_rids = selected.get_or_insert_with(|| (0..rows).collect());
+                Some(indexed_nested_loop_join(
                     outer_col,
                     outer_rids,
                     inner_col,
-                    &entry.rids,
+                    inner_rids,
                     handle.as_search(),
                     self.exec.lanes,
                     resolve_threads(j.threads, outer_rids.len()),
@@ -1003,75 +985,20 @@ impl Plan {
                 None => None,
                 Some((m, side)) => Some(side_column(cat, &self.table, inner, m, *side)?),
             };
-            let pick = |row: &JoinRow, side: Side| match side {
-                Side::Outer => row.outer_rid,
-                Side::Inner => row.inner_rid,
-            };
-            // One arm per row source; within each, the thread count is
-            // resolved against the source's actual row count (`0` =
-            // adaptive), the partitioned path chunks the source in place
-            // (no intermediate pair vector) and the sequential path
-            // streams it lazily.
-            let groups = match &joined {
-                Some(rows) => {
-                    let threads = resolve_threads(g.threads, rows.len());
-                    let measure_side = g.measure.as_ref().map_or(g.side, |(_, s)| *s);
-                    let to_pair = |r: &JoinRow| (pick(r, g.side), pick(r, measure_side));
-                    if threads != 1 {
-                        group_aggregate_chunked_par(
-                            group_col,
-                            measure_col,
-                            rows,
-                            to_pair,
-                            g.agg,
-                            threads,
-                        )
-                    } else {
-                        group_aggregate_pairs(
-                            group_col,
-                            measure_col,
-                            rows.iter().map(to_pair),
-                            g.agg,
-                        )
-                    }
-                }
-                None => match &selected {
-                    Some(rids) => {
-                        let threads = resolve_threads(g.threads, rids.len());
-                        if threads != 1 {
-                            group_aggregate_chunked_par(
-                                group_col,
-                                measure_col,
-                                rids,
-                                |&r| (r, r),
-                                g.agg,
-                                threads,
-                            )
-                        } else {
-                            group_aggregate_pairs(
-                                group_col,
-                                measure_col,
-                                rids.iter().map(|&r| (r, r)),
-                                g.agg,
-                            )
-                        }
-                    }
-                    None => {
-                        let rows = cat.table(&self.table)?.rows() as u32;
-                        let threads = resolve_threads(g.threads, rows as usize);
-                        if threads != 1 {
-                            group_aggregate_rows_par(group_col, measure_col, rows, g.agg, threads)
-                        } else {
-                            group_aggregate_pairs(
-                                group_col,
-                                measure_col,
-                                (0..rows).map(|r| (r, r)),
-                                g.agg,
-                            )
-                        }
-                    }
+            // The thread count is resolved against the row source's
+            // actual length (`0` = adaptive); the operator chunks the
+            // source in place, with no intermediate pair vector.
+            let source = match (&joined, &selected) {
+                (Some(rows), _) => PairSource::Joined {
+                    rows,
+                    group: g.side,
+                    measure: g.measure.as_ref().map_or(g.side, |(_, s)| *s),
                 },
+                (None, Some(rids)) => PairSource::Rids(rids),
+                (None, None) => PairSource::All(cat.table(&self.table)?.rows() as u32),
             };
+            let threads = resolve_threads(g.threads, source.len());
+            let groups = group_aggregate_pairs(group_col, measure_col, source, g.agg, threads);
             timings.group_ns = Some(node_ns(&grouping));
             timings.total_ns = node_ns(&started);
             return Ok(ResultSet {
@@ -1100,64 +1027,44 @@ impl Plan {
         })
     }
 
-    /// One probe -> sorted RID set, always through the partitioned
-    /// batched operators (`encode_batch` +
-    /// `search_batch_lanes`/`lower_bound_batch_lanes`). The step's
-    /// recorded `threads` is always 1 — one probe constant cannot chunk —
-    /// so the `_par` entry points run their inline sequential path while
-    /// still honouring the plan's `lanes`.
+    /// One probe -> sorted RID set, always through the batched operators
+    /// (`encode_batch` + `search_batch_lanes`/`lower_bound_batch_lanes`).
+    /// The step's recorded `threads` is always 1 — one probe constant
+    /// cannot chunk — so the operators run inline while still honouring
+    /// the plan's `lanes`.
     fn eval_probe(&self, cat: &CatalogState, step: &ProbeStep) -> Result<Vec<u32>> {
         let col = cat.column(&self.table, &step.column)?;
-        let entry = cat.column_entry(&self.table, &step.column)?;
-        let handle = entry
-            .indexes
-            .get(&step.kind)
-            .ok_or_else(|| MmdbError::IndexNotBuilt {
-                table: self.table.clone(),
-                column: step.column.clone(),
-                kind: step.kind,
-            })?;
+        let rid_list = cat.rid_list(&self.table, &step.column)?;
+        let handle = cat.index(&self.table, &step.column, step.kind)?;
         let lanes = self.exec.lanes;
-        let mut rids = match (&step.probe, &**handle) {
-            (Probe::Point(v), IndexHandle::Ordered(idx)) => point_select_many_ordered_par(
+        let mut rids = match &step.probe {
+            Probe::Point(v) => point_select_many(
                 col,
-                &entry.rids,
-                idx.as_ref(),
+                rid_list,
+                handle,
                 std::slice::from_ref(v),
                 lanes,
                 step.threads,
-            )
-            .pop()
-            .expect("one probe in, one out"),
-            (Probe::Point(v), IndexHandle::Point(idx)) => point_select_many_par(
-                col,
-                &entry.rids,
-                idx.as_ref(),
-                std::slice::from_ref(v),
-                lanes,
-                step.threads,
-            )
-            .pop()
-            .expect("one probe in, one out"),
-            (Probe::Range(lo, hi), handle) => {
+            ),
+            Probe::Range(lo, hi) => {
                 let idx = handle
                     .as_ordered()
                     .ok_or_else(|| MmdbError::NoOrderedIndex {
                         table: self.table.clone(),
                         column: step.column.clone(),
                     })?;
-                range_select_many_par(
+                range_select_many(
                     col,
-                    &entry.rids,
+                    rid_list,
                     idx,
                     &[(lo.clone(), hi.clone())],
                     lanes,
                     step.threads,
                 )
-                .pop()
-                .expect("one range in, one out")
             }
-        };
+        }
+        .pop()
+        .expect("one probe in, one out");
         rids.sort_unstable();
         Ok(rids)
     }
@@ -1198,8 +1105,8 @@ impl CatalogState {
     /// probes-only sub-plan: one access-path resolution (the same
     /// preference order a [`Query::filter`]`(`[`eq`]`)` compiles to),
     /// one batched domain encoding, and one
-    /// `search_batch`/`lower_bound_batch` index descent over all the
-    /// values, partitioned across workers when the catalog's
+    /// `search_batch_lanes`/`lower_bound_batch_lanes` index descent over
+    /// all the values, partitioned across workers when the catalog's
     /// [`ExecOptions`] allow (`threads == 0` adapts to the probe
     /// count). Returns one ascending RID set per value, in submission
     /// order — element `i` is byte-identical to
@@ -1218,23 +1125,11 @@ impl CatalogState {
     ) -> Result<Vec<Vec<u32>>> {
         let kind = resolve_kind(self, table, column, false, None)?;
         let col = self.column(table, column)?;
-        let entry = self.column_entry(table, column)?;
-        let handle = entry.indexes.get(&kind).expect("kind was just resolved");
+        let rid_list = self.rid_list(table, column)?;
+        let handle = self.index(table, column, kind)?;
         let exec = self.exec_options();
         let threads = resolve_threads(exec.threads, values.len());
-        let mut out = match &**handle {
-            IndexHandle::Ordered(idx) => point_select_many_ordered_par(
-                col,
-                &entry.rids,
-                idx.as_ref(),
-                values,
-                exec.lanes,
-                threads,
-            ),
-            IndexHandle::Point(idx) => {
-                point_select_many_par(col, &entry.rids, idx.as_ref(), values, exec.lanes, threads)
-            }
-        };
+        let mut out = point_select_many(col, rid_list, handle, values, exec.lanes, threads);
         for rids in &mut out {
             rids.sort_unstable();
         }
@@ -1245,7 +1140,7 @@ impl CatalogState {
     /// single probes-only sub-plan over an ordered index (typed
     /// [`MmdbError::NoOrderedIndex`] when only hash is built): every
     /// range contributes its two positional bounds to one
-    /// `lower_bound_batch` descent. Returns one ascending RID set per
+    /// `lower_bound_batch_lanes` descent. Returns one ascending RID set per
     /// range, in submission order — element `i` is byte-identical to
     /// `query(table).filter(between(column, lo, hi)).run()?.rids()`
     /// (an inverted range matches nothing, exactly like [`between`]).
@@ -1257,9 +1152,9 @@ impl CatalogState {
     ) -> Result<Vec<Vec<u32>>> {
         let kind = resolve_kind(self, table, column, true, None)?;
         let col = self.column(table, column)?;
-        let entry = self.column_entry(table, column)?;
-        let handle = entry.indexes.get(&kind).expect("kind was just resolved");
-        let idx = (**handle)
+        let rid_list = self.rid_list(table, column)?;
+        let idx = self
+            .index(table, column, kind)?
             .as_ordered()
             .ok_or_else(|| MmdbError::NoOrderedIndex {
                 table: table.to_owned(),
@@ -1267,7 +1162,7 @@ impl CatalogState {
             })?;
         let exec = self.exec_options();
         let threads = resolve_threads(exec.threads, ranges.len());
-        let mut out = range_select_many_par(col, &entry.rids, idx, ranges, exec.lanes, threads);
+        let mut out = range_select_many(col, rid_list, idx, ranges, exec.lanes, threads);
         for rids in &mut out {
             rids.sort_unstable();
         }
@@ -1435,15 +1330,7 @@ impl ResultSet<'_> {
                     self.inner_table.as_deref(),
                     column,
                 )?;
-                let ids: Vec<u32> = rows
-                    .iter()
-                    .map(|r| {
-                        col.id(match side {
-                            Side::Outer => r.outer_rid,
-                            Side::Inner => r.inner_rid,
-                        })
-                    })
-                    .collect();
+                let ids: Vec<u32> = rows.iter().map(|r| col.id(r.rid(side))).collect();
                 Ok(col.domain().decode_batch(&ids))
             }
             ResultRows::Groups(_) => Err(MmdbError::Unsupported {

@@ -3,10 +3,7 @@
 //! 1. "searching an index is still useful for answering single value
 //!    selection queries and range queries" — [`point_select_many`] and
 //!    [`range_select_many`] (with [`point_select`] / [`range_select`] as
-//!    the batch-of-one conveniences, and
-//!    [`point_select_ordered`] / [`point_select_many_ordered`] asking an
-//!    ordered index for whole duplicate runs via `equal_range` instead of
-//!    the §3.6 rightward scan, which only the hash path needs);
+//!    the single-probe references they are tested against);
 //! 2. "cheaper random access makes indexed nested loop joins more
 //!    affordable ... This approach requires a lot of searching through
 //!    indexes on the inner relations" — [`indexed_nested_loop_join`];
@@ -16,14 +13,22 @@
 //!
 //! In the decision-support setting probes arrive by the hundred-thousand,
 //! so every operator hands the index whole probe batches
-//! (`search_batch` / `lower_bound_batch`); batch-aware structures such as
-//! the CSS-trees answer them with interleaved multi-lane descents instead
-//! of one serialised lookup per probe.
+//! (`search_batch_lanes` / `lower_bound_batch_lanes`); batch-aware
+//! structures such as the CSS-trees answer them with interleaved
+//! multi-lane descents instead of one serialised lookup per probe. Each
+//! batched operator takes the interleave lane count and a worker count:
+//! the probes (or outer RIDs) are chunked across `threads` workers
+//! (`0` = one per core, `1` = inline on the calling thread) and the
+//! chunk answers concatenate in input order, so the output is the same
+//! for every thread count.
 
 use crate::column::Column;
 use crate::domain::Value;
+use crate::index_choice::IndexHandle;
+use crate::plan::Side;
 use crate::rid::RidList;
-use ccindex_common::{OrderedIndex, SearchIndex, DEFAULT_BATCH_LANES};
+use ccindex_common::{OrderedIndex, SearchIndex};
+use ccindex_parallel::WorkerPool;
 
 /// One output row of an indexed nested-loop join.
 ///
@@ -39,19 +44,28 @@ pub struct JoinRow {
     pub inner_rid: u32,
 }
 
+impl JoinRow {
+    /// The RID this row contributes from `side` of the join.
+    pub fn rid(&self, side: Side) -> u32 {
+        match side {
+            Side::Outer => self.outer_rid,
+            Side::Inner => self.inner_rid,
+        }
+    }
+}
+
 /// How many outer rows an [`indexed_nested_loop_join`] hands to the inner
-/// index per `search_batch` call. Large enough to fill every interleave
-/// lane many times over, small enough that the probe scratch stays
-/// cache-resident.
+/// index per `search_batch_lanes` call. Large enough to fill every
+/// interleave lane many times over, small enough that the probe scratch
+/// stays cache-resident.
 pub const JOIN_PROBE_BLOCK: usize = 1024;
 
 /// The §3.6 duplicate primitive for indexes that only answer point
 /// lookups (the hash index): given the leftmost match `first`, scan
 /// rightward through the sorted key array for the end of the run of
-/// `id`. Ordered indexes do **not** come through here — they answer the
-/// same question with [`OrderedIndex::equal_range`] (or its batched
-/// `lower_bound_batch` form), so this is the single place the hand-rolled
-/// scan lives.
+/// `id`. Ordered indexes do **not** come through here — they bracket the
+/// run with two lower bounds (see `select_id_ranges`), so this is the
+/// single place the hand-rolled scan lives.
 fn duplicate_run_end(keys: &[u32], first: usize, id: u32) -> usize {
     let mut end = first;
     while end < keys.len() && keys[end] == id {
@@ -61,11 +75,9 @@ fn duplicate_run_end(keys: &[u32], first: usize, id: u32) -> usize {
 }
 
 /// All RIDs whose column value equals `value`, via one index search plus
-/// the §3.6 rightward duplicate scan. Single-probe fast path — batches of
-/// constants should go through [`point_select_many`] instead (it is
-/// equivalence-tested against this function for every index kind). With
-/// an ordered index in hand, prefer [`point_select_ordered`], which asks
-/// the index for the whole duplicate run directly.
+/// the §3.6 rightward duplicate scan — the single-probe reference that
+/// [`point_select_many`] is equivalence-tested against for every index
+/// kind.
 pub fn point_select(
     column: &Column,
     rid_list: &RidList,
@@ -82,167 +94,64 @@ pub fn point_select(
     rid_list.rids_in(first, end).to_vec()
 }
 
-/// All RIDs whose column value equals `value`, asking an ordered index
-/// for the duplicate run via [`OrderedIndex::equal_range`] — no manual
-/// scan over the key array (§3.6 "find the leftmost element ... and
-/// sequentially scan towards right" is the *hash-index* fallback; ordered
-/// directories locate both ends of the run by descent).
-pub fn point_select_ordered(
-    column: &Column,
-    rid_list: &RidList,
-    index: &dyn OrderedIndex<u32>,
-    value: &Value,
-) -> Vec<u32> {
-    let Some(id) = column.domain().encode(value) else {
-        return Vec::new();
-    };
-    let (start, end) = index.equal_range(id);
-    rid_list.rids_in(start, end).to_vec()
-}
-
-/// One RID set per probe value through an ordered index: a single batched
-/// domain encoding, then one `lower_bound_batch` holding **both** ends of
-/// every probe's duplicate run (the batched form of
-/// [`OrderedIndex::equal_range`]) — no per-hit rightward scan.
-pub fn point_select_many_ordered(
-    column: &Column,
-    rid_list: &RidList,
-    index: &dyn OrderedIndex<u32>,
-    values: &[Value],
-) -> Vec<Vec<u32>> {
-    point_select_many_ordered_lanes(column, rid_list, index, values, DEFAULT_BATCH_LANES)
-}
-
-/// [`point_select_many_ordered`] with an explicit interleave lane count,
-/// forwarded to the index through
-/// [`OrderedIndex::lower_bound_batch_lanes`] (ignored by structures that
-/// are not batch-aware).
-pub fn point_select_many_ordered_lanes(
-    column: &Column,
-    rid_list: &RidList,
-    index: &dyn OrderedIndex<u32>,
-    values: &[Value],
-    lanes: usize,
-) -> Vec<Vec<u32>> {
-    let mut out = vec![Vec::new(); values.len()];
-    let ids = column.domain().encode_batch(values);
-    // (slot, end-probe present?) per in-domain value; probes laid out
-    // flat as [id0, id0+1, id1, id1+1, ...] minus unrepresentable ends.
-    let mut pending: Vec<(usize, bool)> = Vec::new();
-    let mut probes: Vec<u32> = Vec::new();
-    for (slot, id) in ids.into_iter().enumerate() {
-        let Some(id) = id else { continue };
-        probes.push(id);
-        match id.checked_add(1) {
-            Some(next) => {
-                probes.push(next);
-                pending.push((slot, true));
-            }
-            None => pending.push((slot, false)),
-        }
-    }
-    let bounds = index.lower_bound_batch_lanes(&probes, lanes);
-    let mut at = 0usize;
-    for (slot, has_end) in pending {
-        let start = bounds[at];
-        at += 1;
-        let end = if has_end {
-            at += 1;
-            bounds[at - 1]
-        } else {
-            index.len()
-        };
-        out[slot] = rid_list.rids_in(start, end.max(start)).to_vec();
-    }
-    out
-}
-
-/// Partitioned [`point_select_many_ordered`]: the probe values are
-/// chunked across `threads` workers (`0` = one per core), each chunk
-/// running the batched ordered select at `lanes`; per-value RID sets come
-/// back in value order, byte-identical to the sequential operator.
-pub fn point_select_many_ordered_par(
-    column: &Column,
-    rid_list: &RidList,
-    index: &dyn OrderedIndex<u32>,
-    values: &[Value],
-    lanes: usize,
-    threads: usize,
-) -> Vec<Vec<u32>> {
-    ccindex_parallel::WorkerPool::new(threads).flat_map_chunks(values, |chunk| {
-        point_select_many_ordered_lanes(column, rid_list, index, chunk, lanes)
-    })
-}
-
-/// One RID set per probe value: a single batched domain encoding followed
-/// by a single batched index probe, plus the §3.6 rightward duplicate
-/// scan per hit.
+/// One RID set per probe value: a batched domain encoding, then one
+/// batched index descent per worker chunk. An ordered index answers with
+/// a single `lower_bound_batch_lanes` holding **both** ends of every
+/// probe's duplicate run (the batched form of
+/// [`OrderedIndex::equal_range`]); a point-only index (hash) answers
+/// `search_batch_lanes` and each hit's run end is found by the §3.6
+/// rightward scan. Either way value `i`'s RIDs are
+/// `rid_list.rids_in(first, end)` for its run, in values order.
 pub fn point_select_many(
     column: &Column,
     rid_list: &RidList,
-    index: &dyn SearchIndex<u32>,
-    values: &[Value],
-) -> Vec<Vec<u32>> {
-    point_select_many_lanes(column, rid_list, index, values, DEFAULT_BATCH_LANES)
-}
-
-/// [`point_select_many`] with an explicit interleave lane count (see
-/// [`SearchIndex::search_batch_lanes`]).
-pub fn point_select_many_lanes(
-    column: &Column,
-    rid_list: &RidList,
-    index: &dyn SearchIndex<u32>,
-    values: &[Value],
-    lanes: usize,
-) -> Vec<Vec<u32>> {
-    let mut out = vec![Vec::new(); values.len()];
-    // Consumer #3, batched: constants -> domain IDs. Values outside the
-    // domain match no rows and are not probed at all.
-    let ids = column.domain().encode_batch(values);
-    let mut probe_ids = Vec::with_capacity(values.len());
-    let mut probe_slots = Vec::with_capacity(values.len());
-    for (slot, id) in ids.into_iter().enumerate() {
-        if let Some(id) = id {
-            probe_ids.push(id);
-            probe_slots.push(slot);
-        }
-    }
-    let keys = rid_list.keys().as_slice();
-    for ((&slot, &id), hit) in probe_slots
-        .iter()
-        .zip(&probe_ids)
-        .zip(index.search_batch_lanes(&probe_ids, lanes))
-    {
-        if let Some(first) = hit {
-            let end = duplicate_run_end(keys, first, id);
-            out[slot] = rid_list.rids_in(first, end).to_vec();
-        }
-    }
-    out
-}
-
-/// Partitioned [`point_select_many`]; see
-/// [`point_select_many_ordered_par`] for the chunking contract.
-pub fn point_select_many_par(
-    column: &Column,
-    rid_list: &RidList,
-    index: &dyn SearchIndex<u32>,
+    index: &IndexHandle,
     values: &[Value],
     lanes: usize,
     threads: usize,
 ) -> Vec<Vec<u32>> {
-    ccindex_parallel::WorkerPool::new(threads).flat_map_chunks(values, |chunk| {
-        point_select_many_lanes(column, rid_list, index, chunk, lanes)
+    WorkerPool::new(threads).flat_map_chunks(values, |chunk| {
+        // Consumer #3, batched: constants -> domain IDs. Values outside
+        // the domain match no rows and are not probed at all.
+        let ids = column.domain().encode_batch(chunk);
+        match index {
+            IndexHandle::Ordered(idx) => select_id_ranges(
+                rid_list,
+                idx.as_ref(),
+                ids.into_iter().map(|id| id.map(|id| (id, id))),
+                lanes,
+            ),
+            IndexHandle::Point(idx) => {
+                let mut out = vec![Vec::new(); ids.len()];
+                let mut slots = Vec::with_capacity(ids.len());
+                let mut probes = Vec::with_capacity(ids.len());
+                for (slot, id) in ids.into_iter().enumerate() {
+                    if let Some(id) = id {
+                        slots.push(slot);
+                        probes.push(id);
+                    }
+                }
+                let keys = rid_list.keys().as_slice();
+                let hits = idx.search_batch_lanes(&probes, lanes);
+                for ((slot, id), hit) in slots.into_iter().zip(probes).zip(hits) {
+                    if let Some(first) = hit {
+                        let end = duplicate_run_end(keys, first, id);
+                        out[slot] = rid_list.rids_in(first, end).to_vec();
+                    }
+                }
+                out
+            }
+        }
     })
 }
 
 /// All RIDs whose column value lies in the inclusive range `[lo, hi]`.
 /// Requires an ordered index (hash indexes cannot serve range queries).
 ///
-/// Single-range fast path using the trait's [`OrderedIndex::key_range`]
-/// (the source of truth for inclusive-range semantics); batches of
-/// ranges should go through [`range_select_many`], which is
-/// equivalence-tested against this function for every ordered kind.
+/// Single-range reference using the trait's [`OrderedIndex::key_range`]
+/// (the source of truth for inclusive-range semantics);
+/// [`range_select_many`] is equivalence-tested against it for every
+/// ordered kind.
 pub fn range_select(
     column: &Column,
     rid_list: &RidList,
@@ -258,33 +167,41 @@ pub fn range_select(
 }
 
 /// One RID set per inclusive value range. Each range contributes its two
-/// positional bounds to a single `lower_bound_batch` over the index, so a
-/// batch-aware structure descends for all ranges' endpoints concurrently.
+/// positional bounds to one `lower_bound_batch_lanes` per worker chunk,
+/// so a batch-aware structure descends for all ranges' endpoints
+/// concurrently.
 pub fn range_select_many(
     column: &Column,
     rid_list: &RidList,
     index: &dyn OrderedIndex<u32>,
     ranges: &[(Value, Value)],
+    lanes: usize,
+    threads: usize,
 ) -> Vec<Vec<u32>> {
-    range_select_many_lanes(column, rid_list, index, ranges, DEFAULT_BATCH_LANES)
+    WorkerPool::new(threads).flat_map_chunks(ranges, |chunk| {
+        let domain = column.domain();
+        let id_ranges = chunk.iter().map(|(lo, hi)| domain.id_range(lo, hi));
+        select_id_ranges(rid_list, index, id_ranges, lanes)
+    })
 }
 
-/// [`range_select_many`] with an explicit interleave lane count (see
-/// [`OrderedIndex::lower_bound_batch_lanes`]).
-pub fn range_select_many_lanes(
-    column: &Column,
+/// The RID set of every inclusive domain-ID range (`None` matches
+/// nothing), with both ends of all ranges answered by one
+/// `lower_bound_batch_lanes` — the shared bracketing step of the ordered
+/// point path and the range path.
+fn select_id_ranges(
     rid_list: &RidList,
     index: &dyn OrderedIndex<u32>,
-    ranges: &[(Value, Value)],
+    id_ranges: impl ExactSizeIterator<Item = Option<(u32, u32)>>,
     lanes: usize,
 ) -> Vec<Vec<u32>> {
-    let mut out = vec![Vec::new(); ranges.len()];
+    let mut out = vec![Vec::new(); id_ranges.len()];
     // (slot, end-probe present?) per non-empty ID range; probes laid out
     // flat as [lo0, end0, lo1, end1, ...] minus any absent end probes.
     let mut pending: Vec<(usize, bool)> = Vec::new();
     let mut probes: Vec<u32> = Vec::new();
-    for (slot, (lo, hi)) in ranges.iter().enumerate() {
-        let Some((lo_id, hi_id)) = column.domain().id_range(lo, hi) else {
+    for (slot, range) in id_ranges.enumerate() {
+        let Some((lo_id, hi_id)) = range else {
             continue;
         };
         probes.push(lo_id);
@@ -314,73 +231,20 @@ pub fn range_select_many_lanes(
     out
 }
 
-/// Partitioned [`range_select_many`]; see
-/// [`point_select_many_ordered_par`] for the chunking contract.
-pub fn range_select_many_par(
-    column: &Column,
-    rid_list: &RidList,
-    index: &dyn OrderedIndex<u32>,
-    ranges: &[(Value, Value)],
-    lanes: usize,
-    threads: usize,
-) -> Vec<Vec<u32>> {
-    ccindex_parallel::WorkerPool::new(threads).flat_map_chunks(ranges, |chunk| {
-        range_select_many_lanes(column, rid_list, index, chunk, lanes)
-    })
-}
-
-/// Indexed nested-loop join — "pipelinable, requiring minimal storage for
-/// intermediate results" (§2.2). Equal inner duplicates all match.
+/// Indexed nested-loop join over the outer rows `outer_rids` —
+/// "pipelinable, requiring minimal storage for intermediate results"
+/// (§2.2): the RID set from a filter streams straight into the probe
+/// blocks. Equal inner duplicates all match. `outer_rids` need not be
+/// sorted; output order follows it.
 ///
 /// Batch-shaped on both of the paper's search axes: the outer *domain*
 /// (its distinct values, not its rows) is translated into inner-domain
 /// IDs with one batched dictionary search up front, and outer rows then
 /// stream through the inner index [`JOIN_PROBE_BLOCK`] probes at a time
-/// via `search_batch`, which batch-aware indexes answer with interleaved
-/// descents.
+/// via `search_batch_lanes`. The outer RID stream is chunked across
+/// `threads` workers over the one shared translation; chunk outputs
+/// concatenate in outer-stream order.
 pub fn indexed_nested_loop_join(
-    outer: &Column,
-    inner: &Column,
-    inner_rids: &RidList,
-    inner_index: &dyn SearchIndex<u32>,
-) -> Vec<JoinRow> {
-    let all: Vec<u32> = (0..outer.len() as u32).collect();
-    indexed_nested_loop_join_rids(outer, &all, inner, inner_rids, inner_index)
-}
-
-/// [`indexed_nested_loop_join`] restricted to a subset of outer rows —
-/// the shape a query plan produces when selections precede the join
-/// ("pipelinable": the RID set from a filter streams straight into the
-/// probe blocks). `outer_rids` need not be sorted; output order follows
-/// it. Joining every outer row is exactly
-/// `indexed_nested_loop_join(..)`, which delegates here.
-pub fn indexed_nested_loop_join_rids(
-    outer: &Column,
-    outer_rids: &[u32],
-    inner: &Column,
-    inner_rids: &RidList,
-    inner_index: &dyn SearchIndex<u32>,
-) -> Vec<JoinRow> {
-    // Consumer #3, batched and hoisted: one inner-domain lookup per
-    // *distinct* outer value instead of one per outer row.
-    let translation = inner.domain().encode_batch(outer.domain().values());
-    join_rids_translated(
-        outer,
-        outer_rids,
-        inner_rids,
-        inner_index,
-        &translation,
-        DEFAULT_BATCH_LANES,
-    )
-}
-
-/// Partitioned [`indexed_nested_loop_join_rids`]: the outer RID stream is
-/// chunked across `threads` workers (`0` = one per core) over one shared
-/// outer→inner domain translation, each chunk streaming through the
-/// inner index in [`JOIN_PROBE_BLOCK`]-probe blocks at `lanes` interleave
-/// lanes. Chunk outputs concatenate in outer-stream order, so the result
-/// is byte-identical to the sequential join.
-pub fn indexed_nested_loop_join_rids_par(
     outer: &Column,
     outer_rids: &[u32],
     inner: &Column,
@@ -389,14 +253,16 @@ pub fn indexed_nested_loop_join_rids_par(
     lanes: usize,
     threads: usize,
 ) -> Vec<JoinRow> {
+    // Consumer #3, batched and hoisted: one inner-domain lookup per
+    // *distinct* outer value instead of one per outer row.
     let translation = inner.domain().encode_batch(outer.domain().values());
-    ccindex_parallel::WorkerPool::new(threads).flat_map_chunks(outer_rids, |chunk| {
+    WorkerPool::new(threads).flat_map_chunks(outer_rids, |chunk| {
         join_rids_translated(outer, chunk, inner_rids, inner_index, &translation, lanes)
     })
 }
 
-/// The blocked probe loop shared by the sequential and partitioned joins:
-/// stream `outer_rids` through `inner_index` with the outer→inner domain
+/// The blocked probe loop of [`indexed_nested_loop_join`]: stream
+/// `outer_rids` through `inner_index` with the outer→inner domain
 /// `translation` already in hand.
 fn join_rids_translated(
     outer: &Column,
@@ -444,6 +310,22 @@ mod tests {
     use super::*;
     use crate::index_choice::{build_index, build_ordered_index, IndexKind};
     use crate::table::TableBuilder;
+    use ccindex_common::DEFAULT_BATCH_LANES;
+
+    /// Every row of `col`, the outer stream of an unfiltered join.
+    fn all_rows(col: &Column) -> Vec<u32> {
+        (0..col.len() as u32).collect()
+    }
+
+    /// The scan-path handle (point lookups plus the rightward duplicate
+    /// scan) for any kind, and the ordered handle where the kind has one.
+    fn handles(kind: IndexKind, keys: &ccindex_common::SortedArray<u32>) -> Vec<IndexHandle> {
+        let mut out = vec![IndexHandle::Point(build_index(kind, keys))];
+        if kind.is_ordered() {
+            out.push(IndexHandle::Ordered(build_ordered_index(kind, keys)));
+        }
+        out
+    }
 
     fn setup() -> (crate::table::Table, RidList) {
         let t = TableBuilder::new("sales")
@@ -497,17 +379,17 @@ mod tests {
             .map(|&v| Value::Int(v))
             .collect();
         for kind in IndexKind::ALL {
-            let idx = build_index(kind, rl.keys());
-            let many = point_select_many(col, &rl, idx.as_ref(), &probes);
+            let idx = IndexHandle::build(kind, rl.keys());
+            let many = point_select_many(col, &rl, &idx, &probes, DEFAULT_BATCH_LANES, 1);
             assert_eq!(many.len(), probes.len());
             for (value, got) in probes.iter().zip(&many) {
                 assert_eq!(
                     got,
-                    &point_select(col, &rl, idx.as_ref(), value),
+                    &point_select(col, &rl, idx.as_search(), value),
                     "{kind:?}"
                 );
             }
-            assert!(point_select_many(col, &rl, idx.as_ref(), &[]).is_empty());
+            assert!(point_select_many(col, &rl, &idx, &[], DEFAULT_BATCH_LANES, 1).is_empty());
         }
     }
 
@@ -520,22 +402,21 @@ mod tests {
             .map(|&v| Value::Int(v))
             .collect();
         for kind in IndexKind::ORDERED {
-            let ordered = build_ordered_index(kind, rl.keys());
-            let scan = build_index(kind, rl.keys());
-            for value in &probes {
+            let ordered = IndexHandle::Ordered(build_ordered_index(kind, rl.keys()));
+            let scan = IndexHandle::Point(build_index(kind, rl.keys()));
+            let many = point_select_many(col, &rl, &ordered, &probes, DEFAULT_BATCH_LANES, 1);
+            for (value, got) in probes.iter().zip(&many) {
                 assert_eq!(
-                    point_select_ordered(col, &rl, ordered.as_ref(), value),
-                    point_select(col, &rl, scan.as_ref(), value),
+                    got,
+                    &point_select(col, &rl, scan.as_search(), value),
                     "{kind:?} {value}"
                 );
             }
-            let many = point_select_many_ordered(col, &rl, ordered.as_ref(), &probes);
             assert_eq!(
                 many,
-                point_select_many(col, &rl, scan.as_ref(), &probes),
+                point_select_many(col, &rl, &scan, &probes, DEFAULT_BATCH_LANES, 1),
                 "{kind:?}"
             );
-            assert!(point_select_many_ordered(col, &rl, ordered.as_ref(), &[]).is_empty());
         }
     }
 
@@ -554,19 +435,20 @@ mod tests {
         let ocol = orders.column("cust").unwrap();
         for kind in IndexKind::ALL {
             let idx = build_index(kind, crids.keys());
-            let full = indexed_nested_loop_join(ocol, ccol, &crids, idx.as_ref());
+            let join = |outer_rids: &[u32]| {
+                indexed_nested_loop_join(ocol, outer_rids, ccol, &crids, idx.as_ref(), 8, 1)
+            };
+            let full = join(&all_rows(ocol));
             // The subset path with rids {0, 3} must equal the full join
             // filtered to those outer rows.
-            let subset = indexed_nested_loop_join_rids(ocol, &[0, 3], ccol, &crids, idx.as_ref());
+            let subset = join(&[0, 3]);
             let expected: Vec<JoinRow> = full
                 .iter()
                 .filter(|j| j.outer_rid == 0 || j.outer_rid == 3)
                 .copied()
                 .collect();
             assert_eq!(subset, expected, "{kind:?}");
-            assert!(
-                indexed_nested_loop_join_rids(ocol, &[], ccol, &crids, idx.as_ref()).is_empty()
-            );
+            assert!(join(&[]).is_empty());
         }
     }
 
@@ -580,7 +462,7 @@ mod tests {
             .collect();
         for kind in IndexKind::ORDERED {
             let idx = build_ordered_index(kind, rl.keys());
-            let many = range_select_many(col, &rl, idx.as_ref(), &ranges);
+            let many = range_select_many(col, &rl, idx.as_ref(), &ranges, DEFAULT_BATCH_LANES, 1);
             for ((lo, hi), got) in ranges.iter().zip(&many) {
                 assert_eq!(
                     got,
@@ -610,47 +492,48 @@ mod tests {
             .expect("one column");
         let icol = inner.column("amount").unwrap();
         let irl = RidList::for_column(icol);
-        let all_outer: Vec<u32> = (0..col.len() as u32).collect();
+        let all_outer = all_rows(col);
         for kind in IndexKind::ALL {
-            let idx = build_index(kind, rl.keys());
-            let seq_points = point_select_many(col, &rl, idx.as_ref(), &values);
             let inner_idx = build_index(kind, irl.keys());
-            let seq_join =
-                indexed_nested_loop_join_rids(col, &all_outer, icol, &irl, inner_idx.as_ref());
-            for threads in [0usize, 1, 2, 8] {
-                assert_eq!(
-                    point_select_many_par(col, &rl, idx.as_ref(), &values, 8, threads),
-                    seq_points,
-                    "{kind:?} threads={threads}"
-                );
-                assert_eq!(
-                    indexed_nested_loop_join_rids_par(
-                        col,
-                        &all_outer,
-                        icol,
-                        &irl,
-                        inner_idx.as_ref(),
-                        8,
-                        threads
-                    ),
-                    seq_join,
-                    "{kind:?} threads={threads}"
-                );
+            let join = |threads| {
+                indexed_nested_loop_join(
+                    col,
+                    &all_outer,
+                    icol,
+                    &irl,
+                    inner_idx.as_ref(),
+                    8,
+                    threads,
+                )
+            };
+            let seq_join = join(1);
+            for idx in handles(kind, rl.keys()) {
+                let expected: Vec<Vec<u32>> = values
+                    .iter()
+                    .map(|v| point_select(col, &rl, idx.as_search(), v))
+                    .collect();
+                for threads in [0usize, 1, 2, 8] {
+                    assert_eq!(
+                        point_select_many(col, &rl, &idx, &values, 8, threads),
+                        expected,
+                        "{idx:?} threads={threads}"
+                    );
+                }
+            }
+            for threads in [0usize, 2, 8] {
+                assert_eq!(join(threads), seq_join, "{kind:?} threads={threads}");
             }
         }
         for kind in IndexKind::ORDERED {
             let idx = build_ordered_index(kind, rl.keys());
-            let seq_points = point_select_many_ordered(col, &rl, idx.as_ref(), &values);
-            let seq_ranges = range_select_many(col, &rl, idx.as_ref(), &ranges);
+            let expected: Vec<Vec<u32>> = ranges
+                .iter()
+                .map(|(lo, hi)| range_select(col, &rl, idx.as_ref(), lo, hi))
+                .collect();
             for threads in [0usize, 1, 2, 8] {
                 assert_eq!(
-                    point_select_many_ordered_par(col, &rl, idx.as_ref(), &values, 8, threads),
-                    seq_points,
-                    "{kind:?} threads={threads}"
-                );
-                assert_eq!(
-                    range_select_many_par(col, &rl, idx.as_ref(), &ranges, 8, threads),
-                    seq_ranges,
+                    range_select_many(col, &rl, idx.as_ref(), &ranges, 8, threads),
+                    expected,
                     "{kind:?} threads={threads}"
                 );
             }
@@ -675,7 +558,9 @@ mod tests {
         let icol = it.column("k").unwrap();
         let irids = RidList::for_column(icol);
         let idx = build_index(IndexKind::FullCss, irids.keys());
-        let joined = indexed_nested_loop_join(ot.column("k").unwrap(), icol, &irids, idx.as_ref());
+        let ocol = ot.column("k").unwrap();
+        let joined =
+            indexed_nested_loop_join(ocol, &all_rows(ocol), icol, &irids, idx.as_ref(), 8, 1);
         // Outer values 0..40 match exactly one inner row each; 40..50 none.
         let expected = outer_vals.iter().filter(|&&v| v < 40).count();
         assert_eq!(joined.len(), expected);
@@ -703,7 +588,8 @@ mod tests {
 
         for kind in IndexKind::ALL {
             let idx = build_index(kind, crids.keys());
-            let mut joined = indexed_nested_loop_join(ocol, ccol, &crids, idx.as_ref());
+            let mut joined =
+                indexed_nested_loop_join(ocol, &all_rows(ocol), ccol, &crids, idx.as_ref(), 8, 1);
             joined.sort_by_key(|j| (j.outer_rid, j.inner_rid));
 
             // Brute force reference.
@@ -736,8 +622,9 @@ mod tests {
         let rcol = right.column("k").unwrap();
         let rrids = RidList::for_column(rcol);
         let idx = build_index(IndexKind::FullCss, rrids.keys());
+        let lcol = left.column("k").unwrap();
         let joined =
-            indexed_nested_loop_join(left.column("k").unwrap(), rcol, &rrids, idx.as_ref());
+            indexed_nested_loop_join(lcol, &all_rows(lcol), rcol, &rrids, idx.as_ref(), 8, 1);
         // "b" matches rids 1,2; "a" matches rid 0; "z" matches nothing.
         assert_eq!(joined.len(), 3);
         assert!(joined.contains(&JoinRow {

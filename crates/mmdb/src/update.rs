@@ -132,7 +132,7 @@ pub struct MultiBatchResult {
 /// sequential, `0` = one per core). Results come back in input-kind
 /// order regardless of the thread count, and each per-kind rebuild time
 /// is measured inside its own job.
-pub fn apply_batch_kinds_par(
+pub fn apply_batch_kinds(
     keys: &SortedArray<u32>,
     inserts: &[u32],
     deletes: &[u32],
@@ -267,7 +267,7 @@ mod tests {
         let inserts = [1u32, 7, 9_999];
         let deletes = [0u32, 10];
         for threads in [0usize, 1, 2, 8] {
-            let multi = apply_batch_kinds_par(&keys, &inserts, &deletes, &IndexKind::ALL, threads);
+            let multi = apply_batch_kinds(&keys, &inserts, &deletes, &IndexKind::ALL, threads);
             assert_eq!(multi.rebuilds.len(), IndexKind::ALL.len(), "t={threads}");
             for (i, (kind, handle, _)) in multi.rebuilds.iter().enumerate() {
                 assert_eq!(*kind, IndexKind::ALL[i], "order is input order");
@@ -283,7 +283,7 @@ mod tests {
             }
         }
         // No kinds at all: still merges, reports nothing to rebuild.
-        let none = apply_batch_kinds_par(&keys, &inserts, &deletes, &[], 4);
+        let none = apply_batch_kinds(&keys, &inserts, &deletes, &[], 4);
         assert!(none.rebuilds.is_empty());
         assert_eq!(none.keys.len(), keys.len() + 1);
     }

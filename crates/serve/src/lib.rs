@@ -23,8 +23,8 @@
 //!   window** (size-bound + time-bound, [`ServeOptions`] with
 //!   `CCINDEX_BATCH_MAX`/`CCINDEX_BATCH_WAIT_US` env defaults),
 //!   coalesces same-`table.column` probes into single
-//!   `search_batch`/`lower_bound_batch` engine calls, executes the
-//!   window's jobs over the shared
+//!   `search_batch_lanes`/`lower_bound_batch_lanes` engine calls,
+//!   executes the window's jobs over the shared
 //!   [`WorkerPool`](ccindex_parallel::WorkerPool), and demultiplexes
 //!   per-client answers in submission order;
 //! * [`Client`]/[`Pending`] — the cheap handles clients submit through

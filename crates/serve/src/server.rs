@@ -333,9 +333,9 @@ impl ServeStats {
 ///
 /// Same-`table.column` point probes in one window merge into a single
 /// [`point_probe_batch`](ServeEngine::point_probe_batch) call (one
-/// batched `search_batch`/`lower_bound_batch` descent), range probes
-/// likewise; full [`QuerySpec`] requests run as independent jobs. The
-/// coalesced jobs execute over a shared
+/// batched `search_batch_lanes`/`lower_bound_batch_lanes` descent),
+/// range probes likewise; full [`QuerySpec`] requests run as
+/// independent jobs. The coalesced jobs execute over a shared
 /// [`WorkerPool`](ccindex_parallel::WorkerPool) sized by the engine's
 /// [`ExecOptions`](mmdb::ExecOptions), and each answer lands back in its
 /// submitter's slot — per-probe results demultiplex in submission order,

@@ -27,9 +27,8 @@
 
 use mmdb::plan::Plan;
 use mmdb::{
-    group_aggregate_pairs, indexed_nested_loop_join_rids_par, AggFn, CatalogState, Column,
-    Database, ExecOptions, GroupRow, IndexKind, MmdbError, QuerySpec, RebuildReport, Result, Table,
-    Value,
+    group_aggregate_pairs, point_select_many, AggFn, CatalogState, Column, Database, ExecOptions,
+    GroupRow, IndexKind, MmdbError, PairSource, QuerySpec, RebuildReport, Result, Table, Value,
 };
 
 use crate::remote::RemoteShard;
@@ -219,11 +218,10 @@ pub fn catalog_select(cat: &CatalogState, plan: &Plan) -> Result<Vec<u32>> {
     Ok(plan.execute_on(cat)?.rids().to_vec())
 }
 
-/// [`ShardBackend::join_probe_batch`] over a catalog: materialise the
-/// outer values as a synthetic probe column and run the *same*
-/// partitioned indexed nested-loop operator a local join uses, then
-/// demultiplex its rows per probe. Probe `i` of the operator is value
-/// `i`, so per-value match order is exactly the operator's.
+/// [`ShardBackend::join_probe_batch`] over a catalog: the outer values
+/// go through the batched point-select operator on the inner column's
+/// `kind` index. Value `i`'s matches are the inner RIDs of its duplicate
+/// run in RID-list order — the order a local join emits them in.
 pub fn catalog_join_probe_batch(
     cat: &CatalogState,
     table: &str,
@@ -236,22 +234,9 @@ pub fn catalog_join_probe_batch(
     let inner_col = table_column(cat, table, column)?;
     let inner_rids = cat.rid_list(table, column)?;
     let handle = cat.index(table, column, kind)?;
-    let probe_col = Column::from_values(values);
-    let probe_rids: Vec<u32> = (0..values.len() as u32).collect();
-    let rows = indexed_nested_loop_join_rids_par(
-        &probe_col,
-        &probe_rids,
-        inner_col,
-        inner_rids,
-        handle.as_search(),
-        lanes,
-        threads,
-    );
-    let mut out = vec![Vec::new(); values.len()];
-    for row in rows {
-        out[row.outer_rid as usize].push(row.inner_rid);
-    }
-    Ok(out)
+    Ok(point_select_many(
+        inner_col, inner_rids, handle, values, lanes, threads,
+    ))
 }
 
 /// [`ShardBackend::group_partial`] over a catalog. Validates the rid
@@ -290,26 +275,20 @@ pub fn catalog_group_partial(
             what: format!("aggregate {agg:?} needs a measure column"),
         });
     }
-    match rids {
+    let source = match rids {
         Some(rids) => {
             check_rids(cat, table, rids)?;
-            Ok(group_aggregate_pairs(
-                group_col,
-                measure_col,
-                rids.iter().map(|&r| (r, r)),
-                agg,
-            ))
+            PairSource::Rids(rids)
         }
-        None => {
-            let rows = cat.table(table)?.rows() as u32;
-            Ok(group_aggregate_pairs(
-                group_col,
-                measure_col,
-                (0..rows).map(|r| (r, r)),
-                agg,
-            ))
-        }
-    }
+        None => PairSource::All(cat.table(table)?.rows() as u32),
+    };
+    Ok(group_aggregate_pairs(
+        group_col,
+        measure_col,
+        source,
+        agg,
+        1,
+    ))
 }
 
 /// [`ShardBackend::column_values`] over a catalog.
@@ -685,6 +664,46 @@ impl ShardBackend for ShardPin {
         match self {
             ShardPin::Local(cat) => format!("in-process (generation {})", cat.generation()),
             ShardPin::Remote(r) => r.describe(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmdb::{point_select, TableBuilder};
+
+    #[test]
+    fn join_probe_batch_matches_point_select_for_every_kind() {
+        let table = TableBuilder::new("inner").int_column("id", [5, 1, 3, 5, 9, 1, 5]);
+        let mut db = Database::new();
+        db.register(table.build().expect("one column"))
+            .expect("fresh catalog");
+        for kind in IndexKind::ALL {
+            db.create_index("inner", "id", kind).expect("column");
+        }
+        let cat = db.catalog();
+        // Duplicate probes (5, 1), values absent from the inner domain
+        // (2, 100, -3) and a value of the wrong type ("5").
+        let ints = [5i64, 2, 1, 5, 9, 100, -3, 1, 3].map(Value::Int);
+        let values: Vec<Value> = ints.into_iter().chain([Value::from("5")]).collect();
+        let col = table_column(cat, "inner", "id").expect("column");
+        let rids = cat.rid_list("inner", "id").expect("column");
+        for kind in IndexKind::ALL {
+            let index = cat.index("inner", "id", kind).expect("built");
+            let expected: Vec<Vec<u32>> = values
+                .iter()
+                .map(|v| point_select(col, rids, index.as_search(), v))
+                .collect();
+            assert_eq!(expected[0].len(), 3, "value 5 has three rows");
+            for threads in [1usize, 2, 8] {
+                let got = catalog_join_probe_batch(cat, "inner", "id", kind, &values, 8, threads);
+                assert_eq!(
+                    got.expect("probe batch"),
+                    expected,
+                    "{kind:?} threads={threads}"
+                );
+            }
         }
     }
 }

@@ -21,8 +21,8 @@
 //!   into the sequential join's `(outer, inner)` order;
 //! * **group-bys** aggregate *inside* each scatter job and merge the
 //!   per-shard partial aggregates by group value at the gather barrier,
-//!   the same commutative merge the partitioned
-//!   `group_aggregate_pairs_par` operator uses across workers.
+//!   the same commutative merge `group_aggregate_pairs` applies to
+//!   per-worker partials when it runs on more than one worker.
 //!
 //! Results are **byte-identical** to the same queries on an unsharded
 //! [`Database`] for every shard count and both partitioners — the
@@ -1371,10 +1371,6 @@ impl ShardedPlan {
                 let partials = pool.run(jobs.len(), |i| -> Result<Vec<GroupRow>> {
                     let (s, t, rids) = &jobs[i];
                     let rows = self.join_job(&view, *s, *t, rids, job_threads)?;
-                    let pick = |r: &JoinRow, side: Side| match side {
-                        Side::Outer => r.outer_rid,
-                        Side::Inner => r.inner_rid,
-                    };
                     let side_shard = |side: Side| match side {
                         Side::Outer => *s,
                         Side::Inner => *t,
@@ -1383,7 +1379,7 @@ impl ShardedPlan {
                         Side::Outer => self.template.table.as_str(),
                         Side::Inner => j.inner_table.as_str(),
                     };
-                    let group_rids: Vec<u32> = rows.iter().map(|r| pick(r, g.side)).collect();
+                    let group_rids: Vec<u32> = rows.iter().map(|r| r.rid(g.side)).collect();
                     let group_vals = view.shards[side_shard(g.side)].column_values(
                         side_table(g.side),
                         &g.column,
@@ -1392,7 +1388,7 @@ impl ShardedPlan {
                     let measure_vals = match &g.measure {
                         None => None,
                         Some((m, side)) => {
-                            let m_rids: Vec<u32> = rows.iter().map(|r| pick(r, *side)).collect();
+                            let m_rids: Vec<u32> = rows.iter().map(|r| r.rid(*side)).collect();
                             let vals = view.shards[side_shard(*side)].column_values(
                                 side_table(*side),
                                 m,
@@ -1483,14 +1479,13 @@ impl ShardedPlan {
 
     /// One scatter job of the join stage: fetch the outer join-key
     /// values from shard `s`'s backend, probe inner shard `t`'s index
-    /// with them ([`ShardBackend::join_probe_batch`] — the same
-    /// partitioned indexed nested-loop operator whichever side of the
-    /// wire it runs on), and pair each outer RID with its matches in
-    /// probe order. `threads` is the job's share of the pool's
-    /// parallelism — 1 when there are enough jobs to keep every worker
-    /// busy, more when the scatter set is smaller than the pool (the
-    /// chunk outputs still concatenate in outer-stream order, so the
-    /// result is unchanged).
+    /// with them ([`ShardBackend::join_probe_batch`] — the same batched
+    /// point-select operator whichever side of the wire it runs on), and
+    /// pair each outer RID with its matches in probe order. `threads` is
+    /// the job's share of the pool's parallelism — 1 when there are
+    /// enough jobs to keep every worker busy, more when the scatter set
+    /// is smaller than the pool (the chunk outputs still concatenate in
+    /// value order, so the result is unchanged).
     fn join_job(
         &self,
         view: &ShardView<'_>,
@@ -1572,8 +1567,8 @@ fn group_decoded_pairs(
 }
 
 /// Merge per-shard partial aggregates by (decoded) group value — the
-/// cross-shard form of the worker-partial merge inside
-/// `group_aggregate_pairs_par`: every aggregate is commutative and
+/// cross-shard form of the worker-partial merge inside a multi-worker
+/// `group_aggregate_pairs`: every aggregate is commutative and
 /// associative, and the ordered map keys groups by value, so the merged
 /// rows come out in group-value order, byte-identical to the unsharded
 /// aggregation (per-shard domains differ, but decoded values agree).

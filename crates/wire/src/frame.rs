@@ -118,6 +118,29 @@ pub fn write_frame_traced(
         .map_err(|e| io_err(endpoint, "flushing frame", &e))
 }
 
+/// Up-front buffer reservation for a frame field; a longer field grows
+/// its buffer as its bytes arrive.
+const READ_RESERVE: usize = 64 << 10;
+
+/// Read exactly `len` bytes claimed by a frame header. The buffer grows
+/// with the bytes actually received, so a header that claims more than
+/// the peer sends costs memory in proportion to what was sent, not to
+/// the claimed length; a short stream is a typed `Io` error.
+fn read_claimed(r: &mut impl Read, len: usize, endpoint: &str, what: &str) -> Result<Vec<u8>> {
+    let mut buf = Vec::with_capacity(len.min(READ_RESERVE));
+    Read::take(&mut *r, len as u64)
+        .read_to_end(&mut buf)
+        .map_err(|e| io_err(endpoint, what, &e))?;
+    if buf.len() < len {
+        let eof = std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("stream ended after {} of {len} bytes", buf.len()),
+        );
+        return Err(io_err(endpoint, what, &eof));
+    }
+    Ok(buf)
+}
+
 /// Read one frame, validating magic, version, lengths, and checksum;
 /// discards any trace blob. Returns the payload bytes; every failure
 /// is a typed [`MmdbError::Transport`] naming `endpoint`.
@@ -165,12 +188,8 @@ pub fn read_frame_traced(r: &mut impl Read, endpoint: &str) -> Result<(Vec<u8>, 
         });
     }
     let expected_crc = u32::from_le_bytes([header[14], header[15], header[16], header[17]]);
-    let mut trace = vec![0u8; trace_len];
-    r.read_exact(&mut trace)
-        .map_err(|e| io_err(endpoint, "reading frame trace", &e))?;
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)
-        .map_err(|e| io_err(endpoint, "reading frame payload", &e))?;
+    let trace = read_claimed(r, trace_len, endpoint, "reading frame trace")?;
+    let payload = read_claimed(r, len, endpoint, "reading frame payload")?;
     let mut crc = 0xFFFF_FFFFu32;
     for &b in trace.iter().chain(&payload) {
         crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];

@@ -8,8 +8,8 @@
 
 use ccindex::db::domain::Value;
 use ccindex::db::{
-    build_index, indexed_nested_loop_join, point_select_many, range_select_many, RidList,
-    TableBuilder,
+    build_index, indexed_nested_loop_join, point_select_many, range_select_many, IndexHandle,
+    RidList, TableBuilder,
 };
 use ccindex::prelude::*;
 use std::time::Instant;
@@ -23,9 +23,9 @@ fn main() {
         .map(|i| (i.wrapping_mul(2_654_435_761)) % (2 * n))
         .collect();
 
-    // One tree, probed three ways: per-probe, via the trait batch entry
-    // point (DEFAULT_BATCH_LANES interleaved descents), and with an
-    // explicit lane count through DynCssTree.
+    // One tree, probed per-probe and through the trait batch entry point
+    // at DEFAULT_BATCH_LANES interleaved descents, then at other lane
+    // counts.
     let css = DynCssTree::build(CssVariant::Full, 16, arr.clone());
 
     let t0 = Instant::now();
@@ -33,7 +33,7 @@ fn main() {
     let t_seq = t0.elapsed();
 
     let t1 = Instant::now();
-    let batched = css.lower_bound_batch(&probes);
+    let batched = css.lower_bound_batch_lanes(&probes, DEFAULT_BATCH_LANES);
     let t_bat = t1.elapsed();
     assert_eq!(batched, sequential);
     println!(
@@ -53,7 +53,8 @@ fn main() {
     }
 
     // Batched selections on the database substrate: one domain encoding
-    // and one index batch for many query constants.
+    // and one index batch for many query constants (here at the default
+    // lane count, on one worker).
     let amounts: Vec<i64> = (0..50_000).map(|i| (i * 37) % 1_000).collect();
     let table = TableBuilder::new("orders")
         .int_column("amount", amounts)
@@ -61,10 +62,10 @@ fn main() {
         .expect("one column");
     let col = table.column("amount").expect("column");
     let rids = RidList::for_column(col);
-    let index = build_index(IndexKind::FullCss, rids.keys());
+    let index = IndexHandle::build(IndexKind::FullCss, rids.keys());
 
     let wanted: Vec<Value> = (0..200).map(|v| Value::Int(v * 5)).collect();
-    let hits = point_select_many(col, &rids, index.as_ref(), &wanted);
+    let hits = point_select_many(col, &rids, &index, &wanted, DEFAULT_BATCH_LANES, 1);
     println!(
         "point_select_many: {} probe values, {} matching rows",
         wanted.len(),
@@ -74,8 +75,8 @@ fn main() {
     let ranges: Vec<(Value, Value)> = (0..50)
         .map(|i| (Value::Int(i * 20), Value::Int(i * 20 + 9)))
         .collect();
-    let index = ccindex::db::build_ordered_index(IndexKind::FullCss, rids.keys());
-    let banded = range_select_many(col, &rids, index.as_ref(), &ranges);
+    let index = index.as_ordered().expect("CSS-trees are ordered");
+    let banded = range_select_many(col, &rids, index, &ranges, DEFAULT_BATCH_LANES, 1);
     println!(
         "range_select_many: {} ranges, {} matching rows",
         ranges.len(),
@@ -95,11 +96,16 @@ fn main() {
     let icol = inner.column("k").expect("column");
     let irids = RidList::for_column(icol);
     let iindex = build_index(IndexKind::FullCss, irids.keys());
+    let ocol = outer.column("k").expect("column");
+    let outer_rids: Vec<u32> = (0..ocol.len() as u32).collect();
     let joined = indexed_nested_loop_join(
-        outer.column("k").expect("column"),
+        ocol,
+        &outer_rids,
         icol,
         &irids,
         iindex.as_ref(),
+        DEFAULT_BATCH_LANES,
+        1,
     );
     println!(
         "batched indexed nested-loop join: {} result rows",

@@ -4,7 +4,9 @@
 //! size, both CSS variants, and the degenerate shapes (empty trees, empty
 //! batches, single keys, ragged tails).
 
-use ccindex::common::{CountingTracer, OrderedIndex, SearchIndex, SortedArray};
+use ccindex::common::{
+    CountingTracer, OrderedIndex, SearchIndex, SortedArray, DEFAULT_BATCH_LANES,
+};
 use ccindex::css::{CssVariant, DynCssTree, STANDARD_NODE_SIZES};
 use ccindex::db::{build_index, build_ordered_index, IndexKind};
 use proptest::collection::vec;
@@ -39,9 +41,9 @@ proptest! {
                     );
                 }
                 prop_assert_eq!(
-                    t.lower_bound_batch(&probes),
+                    t.lower_bound_batch_lanes(&probes, DEFAULT_BATCH_LANES),
                     expected.clone(),
-                    "{:?} m={} trait path",
+                    "{:?} m={} default lanes",
                     variant, m
                 );
             }
@@ -60,9 +62,9 @@ proptest! {
         }
     }
 
-    /// Every index kind's `search_batch` (default or interleaved
+    /// Every index kind's `search_batch_lanes` (default or interleaved
     /// override) equals the per-probe `search`, and the ordered kinds'
-    /// `lower_bound_batch` equals per-probe `lower_bound`.
+    /// `lower_bound_batch_lanes` equals per-probe `lower_bound`.
     #[test]
     fn every_index_kind_batches_like_it_searches(
         mut keys in vec(0u32..3_000, 0..500),
@@ -74,13 +76,23 @@ proptest! {
             let idx = build_index(kind, &arr);
             let expected: Vec<Option<usize>> =
                 probes.iter().map(|&p| idx.search(p)).collect();
-            prop_assert_eq!(idx.search_batch(&probes), expected, "{:?}", kind);
+            prop_assert_eq!(
+                idx.search_batch_lanes(&probes, DEFAULT_BATCH_LANES),
+                expected,
+                "{:?}",
+                kind
+            );
         }
         for kind in IndexKind::ORDERED {
             let idx = build_ordered_index(kind, &arr);
             let expected: Vec<usize> =
                 probes.iter().map(|&p| idx.lower_bound(p)).collect();
-            prop_assert_eq!(idx.lower_bound_batch(&probes), expected, "{:?}", kind);
+            prop_assert_eq!(
+                idx.lower_bound_batch_lanes(&probes, DEFAULT_BATCH_LANES),
+                expected,
+                "{:?}",
+                kind
+            );
         }
     }
 
@@ -127,11 +139,14 @@ fn degenerate_batches() {
             let empty = DynCssTree::build(variant, m, SortedArray::from_slice(&[]));
             assert!(empty.lower_bound_batch_lanes(&[], 8).is_empty());
             assert_eq!(empty.lower_bound_batch_lanes(&[7], 8), vec![0]);
-            assert_eq!(empty.search_batch(&[7]), vec![None]);
+            assert_eq!(empty.search_batch_lanes(&[7], 8), vec![None]);
 
             let one = DynCssTree::build(variant, m, SortedArray::from_slice(&[5u32]));
             assert_eq!(one.lower_bound_batch_lanes(&[4, 5, 6], 2), vec![0, 0, 1]);
-            assert_eq!(one.search_batch(&[4, 5, 6]), vec![None, Some(0), None]);
+            assert_eq!(
+                one.search_batch_lanes(&[4, 5, 6], 8),
+                vec![None, Some(0), None]
+            );
         }
     }
     // Batch lengths straddling the lane chunking.
@@ -143,6 +158,10 @@ fn degenerate_batches() {
             .iter()
             .map(|&p| keys.partition_point(|&k| k < p))
             .collect();
-        assert_eq!(t.lower_bound_batch(&probes), expected, "len={len}");
+        assert_eq!(
+            t.lower_bound_batch_lanes(&probes, DEFAULT_BATCH_LANES),
+            expected,
+            "len={len}"
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! record trees, batched search, and construction validity over arbitrary
 //! inputs.
 
-use ccindex::common::{OrderedIndex, SearchIndex};
+use ccindex::common::{OrderedIndex, SearchIndex, DEFAULT_BATCH_LANES};
 use ccindex::css::{records::RecordCssTree, FullCssTree, GenericFullCss, LevelCssTree};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -52,9 +52,9 @@ proptest! {
         keys.sort_unstable();
         let t = FullCssTree::<u32, 8>::build(&keys);
         let seq = t.lower_bound_batch_sequential(&probes);
-        prop_assert_eq!(t.lower_bound_batch_interleaved::<3>(&probes), seq.clone());
-        prop_assert_eq!(t.lower_bound_batch_interleaved::<8>(&probes), seq.clone());
-        prop_assert_eq!(t.lower_bound_batch(&probes), seq);
+        prop_assert_eq!(t.lower_bound_batch_lanes(&probes, 3), seq.clone());
+        prop_assert_eq!(t.lower_bound_batch_lanes(&probes, 8), seq.clone());
+        prop_assert_eq!(t.lower_bound_batch_lanes(&probes, DEFAULT_BATCH_LANES), seq);
     }
 
     /// Record trees behave like key trees regardless of payload width.

@@ -80,8 +80,9 @@ proptest! {
 
         for kind in [IndexKind::FullCss, IndexKind::Hash, IndexKind::TTree] {
             let idx = build_index(kind, irids.keys());
+            let all: Vec<u32> = (0..ocol.len() as u32).collect();
             let mut got: Vec<(u32, u32)> =
-                indexed_nested_loop_join(ocol, icol, &irids, idx.as_ref())
+                indexed_nested_loop_join(ocol, &all, icol, &irids, idx.as_ref(), 8, 1)
                     .into_iter()
                     .map(|j| (j.outer_rid, j.inner_rid))
                     .collect();
@@ -241,10 +242,12 @@ fn engine_join_equals_raw_for_every_kind() {
     for kind in IndexKind::ALL {
         let db = engine_with(kind);
         let idx = build_index(kind, id_rids.keys());
-        let mut raw: Vec<(u32, u32)> = indexed_nested_loop_join(cust, id, &id_rids, idx.as_ref())
-            .into_iter()
-            .map(|j| (j.outer_rid, j.inner_rid))
-            .collect();
+        let all: Vec<u32> = (0..cust.len() as u32).collect();
+        let mut raw: Vec<(u32, u32)> =
+            indexed_nested_loop_join(cust, &all, id, &id_rids, idx.as_ref(), 8, 1)
+                .into_iter()
+                .map(|j| (j.outer_rid, j.inner_rid))
+                .collect();
         raw.sort_unstable();
         let engine = db
             .query("sales")
@@ -317,19 +320,14 @@ fn engine_pipeline_equals_raw_composition() {
         );
         selected.sort_unstable();
         let inner_idx = build_index(kind, id_rids.keys());
-        let joined = ccindex::db::indexed_nested_loop_join_rids(
-            cust,
-            &selected,
-            id,
-            &id_rids,
-            inner_idx.as_ref(),
-        );
-        let raw = ccindex::db::group_aggregate_pairs(
-            region,
-            Some(amount),
-            joined.iter().map(|j| (j.inner_rid, j.outer_rid)),
-            AggFn::Sum,
-        );
+        let joined =
+            indexed_nested_loop_join(cust, &selected, id, &id_rids, inner_idx.as_ref(), 8, 1);
+        let source = ccindex::db::PairSource::Joined {
+            rows: &joined,
+            group: ccindex::db::plan::Side::Inner,
+            measure: ccindex::db::plan::Side::Outer,
+        };
+        let raw = ccindex::db::group_aggregate_pairs(region, Some(amount), source, AggFn::Sum, 1);
         assert_eq!(engine.groups(), raw.as_slice(), "{kind:?}");
     }
 }

@@ -7,11 +7,11 @@
 
 use ccindex::css::{CssVariant, DynCssTree};
 use ccindex::db::domain::Value;
+use ccindex::db::plan::Side;
 use ccindex::db::{
-    between, eq, group_aggregate_pairs, group_aggregate_pairs_par, indexed_nested_loop_join_rids,
-    indexed_nested_loop_join_rids_par, on, point_select_many, point_select_many_ordered,
-    point_select_many_ordered_par, point_select_many_par, range_select_many, range_select_many_par,
-    sum, AggFn, Database, ExecOptions, IndexKind, ResultRows, RidList, TableBuilder,
+    between, build_index, eq, group_aggregate_pairs, indexed_nested_loop_join, on, point_select,
+    point_select_many, range_select, range_select_many, sum, AggFn, Database, ExecOptions,
+    IndexHandle, IndexKind, JoinRow, PairSource, ResultRows, RidList, TableBuilder,
 };
 use ccindex::parallel::WorkerPool;
 use ccindex::prelude::*;
@@ -178,54 +178,74 @@ fn physical_operators_are_identical_across_kinds_and_threads() {
     for kind in IndexKind::ALL {
         let idx = db.index("orders", "amount", kind).expect("built");
         let inner_idx = db.index("customers", "id", kind).expect("built");
-        let seq_points = point_select_many(amount, &rl, idx.as_search(), &values);
-        let seq_join =
-            indexed_nested_loop_join_rids(cust, &all_outer, id, &irl, inner_idx.as_search());
+        // The catalog's handle (ordered where the kind is) and the
+        // scan-path handle every kind also supports.
+        let scan = IndexHandle::Point(build_index(kind, rl.keys()));
+        let seq_points: Vec<Vec<u32>> = values
+            .iter()
+            .map(|v| point_select(amount, &rl, idx.as_search(), v))
+            .collect();
+        let join = |threads| {
+            indexed_nested_loop_join(
+                cust,
+                &all_outer,
+                id,
+                &irl,
+                inner_idx.as_search(),
+                8,
+                threads,
+            )
+        };
+        let seq_join = join(1);
         for threads in THREADS {
-            assert_eq!(
-                point_select_many_par(amount, &rl, idx.as_search(), &values, 8, threads),
-                seq_points,
-                "{kind:?} threads={threads}"
-            );
-            assert_eq!(
-                indexed_nested_loop_join_rids_par(
-                    cust,
-                    &all_outer,
-                    id,
-                    &irl,
-                    inner_idx.as_search(),
-                    8,
-                    threads
-                ),
-                seq_join,
-                "{kind:?} threads={threads}"
-            );
-            if let Some(ordered) = idx.as_ordered() {
+            for handle in [idx, &scan] {
                 assert_eq!(
-                    point_select_many_ordered_par(amount, &rl, ordered, &values, 8, threads),
-                    point_select_many_ordered(amount, &rl, ordered, &values),
-                    "{kind:?} threads={threads}"
+                    point_select_many(amount, &rl, handle, &values, 8, threads),
+                    seq_points,
+                    "{handle:?} threads={threads}"
                 );
+            }
+            assert_eq!(join(threads), seq_join, "{kind:?} threads={threads}");
+            if let Some(ordered) = idx.as_ordered() {
+                let seq_ranges: Vec<Vec<u32>> = ranges
+                    .iter()
+                    .map(|(lo, hi)| range_select(amount, &rl, ordered, lo, hi))
+                    .collect();
                 assert_eq!(
-                    range_select_many_par(amount, &rl, ordered, &ranges, 8, threads),
-                    range_select_many(amount, &rl, ordered, &ranges),
+                    range_select_many(amount, &rl, ordered, &ranges, 8, threads),
+                    seq_ranges,
                     "{kind:?} threads={threads}"
                 );
             }
         }
     }
-    // Parallel grouped aggregation with per-worker partials.
+    // Parallel grouped aggregation with per-worker partials, over every
+    // row-source shape.
     let region = customers.column("region").expect("present");
-    let pairs: Vec<(u32, u32)> = (0..id.len() as u32).map(|r| (r, r)).collect();
+    let rows = id.len() as u32;
+    let rids: Vec<u32> = (0..rows).collect();
+    let pairs: Vec<JoinRow> = (0..rows)
+        .map(|r| JoinRow {
+            outer_rid: r,
+            inner_rid: r,
+        })
+        .collect();
+    let joined = PairSource::Joined {
+        rows: &pairs,
+        group: Side::Outer,
+        measure: Side::Inner,
+    };
     for agg in [AggFn::Count, AggFn::Sum, AggFn::Min, AggFn::Max] {
         let measure = (agg != AggFn::Count).then_some(id);
-        let seq = group_aggregate_pairs(region, measure, pairs.iter().copied(), agg);
+        let seq = group_aggregate_pairs(region, measure, joined, agg, 1);
         for threads in THREADS {
-            assert_eq!(
-                group_aggregate_pairs_par(region, measure, &pairs, agg, threads),
-                seq,
-                "{agg:?} threads={threads}"
-            );
+            for source in [joined, PairSource::Rids(&rids), PairSource::All(rows)] {
+                assert_eq!(
+                    group_aggregate_pairs(region, measure, source, agg, threads),
+                    seq,
+                    "{agg:?} {source:?} threads={threads}"
+                );
+            }
         }
     }
 }
@@ -245,17 +265,18 @@ fn css_partitioned_batches_are_identical() {
         (CssVariant::Full, 24), // generic fallback
     ] {
         let t = DynCssTree::build(variant, m, arr.clone());
-        let seq_lb = t.lower_bound_batch(&probes);
+        let seq_lb: Vec<usize> = probes.iter().map(|&p| t.lower_bound(p)).collect();
         let seq_pt: Vec<Option<usize>> = probes.iter().map(|&p| t.search(p)).collect();
         for threads in THREADS {
+            let pool = WorkerPool::new(threads);
             for lanes in [0usize, 1, 8, 64] {
                 assert_eq!(
-                    t.lower_bound_batch_par(&probes, lanes, threads),
+                    pool.flat_map_chunks(&probes, |c| t.lower_bound_batch_lanes(c, lanes)),
                     seq_lb,
                     "{variant:?} m={m} threads={threads} lanes={lanes}"
                 );
                 assert_eq!(
-                    t.search_batch_par(&probes, lanes, threads),
+                    pool.flat_map_chunks(&probes, |c| t.search_batch_lanes(c, lanes)),
                     seq_pt,
                     "{variant:?} m={m} threads={threads} lanes={lanes}"
                 );

@@ -39,11 +39,14 @@ fn demo() -> Result<(), MmdbError> {
         .run()?;
     assert_eq!(same.groups(), groups);
 
-    // The trees expose the partitioned descent directly.
+    // A raw probe batch partitions the same way: contiguous chunks, one
+    // per worker, each answered by an interleaved descent.
     let keys: Vec<u32> = (0..100_000).collect();
     let css = FullCssTree::<u32, 16>::build(&keys);
     let probes: Vec<u32> = (0..10_000u32).map(|i| i * 31 % 120_000).collect();
-    let par = css.lower_bound_batch_par(&probes, 8, 8); // 8 lanes x 8 threads
+    let par = WorkerPool::new(8).flat_map_chunks(&probes, |chunk| {
+        css.lower_bound_batch_lanes(chunk, 8) // 8 lanes x 8 threads
+    });
     assert_eq!(par, css.lower_bound_batch_lanes(&probes, 8));
     Ok(())
 }
